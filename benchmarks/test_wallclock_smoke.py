@@ -11,11 +11,21 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.bench.wallclock import (_batched_config, main, measure_queue,
                                    measure_read_heavy)
 
 EXPECT_KEYS = {"wall_s", "sim_events", "events_per_wall_s", "sim_ops_per_s",
                "mean_latency_ms", "client_kb_per_op", "completed_ops"}
+
+
+def test_help_renders(capsys):
+    """Help text passes through %-formatting in argparse: no bare '%'."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "--guard" in capsys.readouterr().out
 
 
 def test_measure_queue_shape():

@@ -293,7 +293,7 @@ def run_openloop_workload(
     def churn_session(i: int):
         from ..zk.errors import ZkError
         client = ensemble.client(node_id=f"olchurn{i}",
-                                 session_timeout_ms=2000.0, resilient=True)
+                                 session_timeout_ms=2000.0)
         try:
             yield from client.connect()
         except ZkError:
@@ -327,7 +327,7 @@ def run_openloop_workload(
     def watcher(i: int):
         from ..zk.errors import ZkError
         client = ensemble.client(node_id=f"olwatch{i}",
-                                 session_timeout_ms=8000.0, resilient=True)
+                                 session_timeout_ms=8000.0)
         try:
             yield from client.connect()
         except ZkError:

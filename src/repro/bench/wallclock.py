@@ -511,7 +511,7 @@ def main(argv: Optional[list] = None) -> int:
                              "are recorded in their own sections)")
     parser.add_argument("--guard", action="store_true",
                         help="re-measure and fail if events/wall-s dropped "
-                             f">{GUARD_THRESHOLD:.0%} below recorded rows")
+                             f">{GUARD_THRESHOLD:.0%}% below recorded rows")
     parser.add_argument("--phases", action="store_true",
                         help="run traced fig8 cells (zab + raft) and record "
                              "the per-phase latency table into "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from ..core.errors import ObjectExistsError
+from ..zk.errors import NodeExistsError
 from .coordination import CoordClient
 
 __all__ = ["ensure_object"]
@@ -12,10 +14,12 @@ def ensure_object(coord: CoordClient, object_id: str, data: bytes = b""):
 
     Multiple clients may run setup concurrently; whoever loses the
     create race simply proceeds (the paper's recipes leave such corner
-    cases implicit).
+    cases implicit). Any other failure — a lost connection above all —
+    propagates: the object may not exist, so the caller must not
+    proceed as if it did.
     """
     try:
         yield from coord.create(object_id, data)
-    except Exception:
+    except (NodeExistsError, ObjectExistsError):
         pass
     return object_id

@@ -31,9 +31,8 @@ either kernel.  The argument:
   pushed later than any equal-time snapshot entry, so the snapshot wins
   ties.
 
-The class is written to stay compiled-extension friendly (mypyc or
-Cython may shadow this file with a native module — see ``build_ext``):
-slotted attributes, tuple-based entries, no closures on the hot path.
+The class keeps the hot path lean: slotted attributes, tuple-based
+entries, no closures.
 """
 
 from __future__ import annotations

@@ -6,20 +6,17 @@ same shape as the paper's blocking pseudocode.
 
 The library handles session establishment, request/reply matching,
 timeouts with fail-over to another replica, watch-event dispatch, and
-keep-alive pings.
+tracked keep-alive pings.
 
-Clients built with ``resilient=True`` additionally run a session
-lifecycle state machine (CONNECTING → CONNECTED → SUSPENDED →
-EXPIRED/CLOSED): on connection loss they fail over with the shared
-:mod:`repro.core.retry` backoff, re-establish the session at another
-replica carrying the last-seen zxid, and *re-register their armed
-watches* — comparing the server's state against what was known when
-each watch was armed, and synthesizing the notification for any event
-that fired while the client was cut off. That replaces the lossy
-re-poll hack in :meth:`ZkClient.await_notification` on the reconnect
-path: a resilient client can wait on a watch indefinitely without
-losing events to a crashed replica. Off by default — default-path
-traffic and RNG draws are byte-identical to the non-resilient client.
+Every client runs a session lifecycle state machine (CONNECTING →
+CONNECTED → SUSPENDED → EXPIRED/CLOSED): on connection loss it fails
+over with the shared :mod:`repro.core.retry` backoff, re-establishes
+the session at another replica carrying the last-seen zxid, and
+*re-registers its armed watches* — comparing the server's state
+against what was known when each watch was armed, and synthesizing the
+notification for any event that fired while the client was cut off.
+So a client can wait on a watch indefinitely without losing events to
+a crashed replica.
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ class ZkClient:
     def __init__(self, env: Environment, net: Network, node_id: str,
                  replicas: List[str], replica: Optional[str] = None,
                  session_timeout_ms: float = 2000.0,
-                 track_zxid: bool = False, resilient: bool = False,
+                 track_zxid: bool = False,
                  retry: Optional[RetryPolicy] = None,
                  cached_reads: bool = False):
         self.env = env
@@ -93,8 +90,8 @@ class ZkClient:
         # across processes (hash() of a str is salted per interpreter).
         self._backoff = self.retry.start(f"zkclient-backoff-{node_id}")
 
-        #: Session-resilience machinery (all inert unless ``resilient``).
-        self.resilient = resilient
+        #: Session lifecycle: state machine, listeners, and the
+        #: bookkeeping reconnect needs.
         self.state = SessionState.CONNECTING
         self.session_listeners: List[Callable[[SessionState], None]] = []
         #: armed-watch bookkeeping for reconnect re-registration:
@@ -139,9 +136,9 @@ class ZkClient:
             if zxid > self.last_zxid:
                 self.last_zxid = zxid
             if self._ping_xids and msg.xid in self._ping_xids:
-                # Tracked keep-alive (resilient clients): the pong is a
-                # liveness signal, and a fenced pong is how a client
-                # with no outstanding calls learns its session expired.
+                # Tracked keep-alive: the pong is a liveness signal, and
+                # a fenced pong is how a client with no outstanding
+                # calls learns its session expired.
                 self._ping_xids.discard(msg.xid)
                 if msg.ok:
                     self._last_pong = self.env.now
@@ -203,7 +200,7 @@ class ZkClient:
         """Issue one request; retries on another replica after a timeout."""
         if self._closed:
             raise ConnectionLossError("client closed")
-        if self.resilient and self.state is SessionState.EXPIRED \
+        if self.state is SessionState.EXPIRED \
                 and not isinstance(op, CloseSessionOp):
             raise SessionExpiredError("session expired")
         self._xid += 1
@@ -254,8 +251,7 @@ class ZkClient:
                     raise ConnectionLossError(
                         f"no replica answered after {attempts} attempts")
                 self._failover()
-                if self.resilient and self.session_id is not None \
-                        and not self._reconnecting:
+                if self.session_id is not None and not self._reconnecting:
                     # Re-establish at the new replica before retrying:
                     # re-arms our watches there and synthesizes any
                     # event that fired while the old replica was gone.
@@ -270,8 +266,7 @@ class ZkClient:
                     # jitter so retry storms don't synchronize during an
                     # election. The first retry keeps the fixed 50 ms
                     # delay; only later (rarer) retries draw jitter.
-                    if self.resilient:
-                        self._set_state(SessionState.SUSPENDED)
+                    self._set_state(SessionState.SUSPENDED)
                     delay = self._backoff.delay(loss_retries)
                     loss_retries += 1
                     yield self.env.timeout(delay)
@@ -286,10 +281,9 @@ class ZkClient:
                 if tracer is not None:
                     tracer.finish(self.node_id, xid, self.env.now, False)
                 raise from_code(reply.error_code, reply.error_message)
-            if self.resilient:
-                if self.state is SessionState.SUSPENDED:
-                    self._set_state(SessionState.CONNECTED)
-                self._note_watch(op, reply.value)
+            if self.state is SessionState.SUSPENDED:
+                self._set_state(SessionState.CONNECTED)
+            self._note_watch(op, reply.value)
             if self._cache is not None:
                 self._cache_note(op, reply)
             if obs is not None:
@@ -419,23 +413,6 @@ class ZkClient:
 
     def _ping_loop(self):
         interval = self.session_timeout_ms / 3.0
-        if not self.resilient:
-            while not self._closed and not self._abandoned:
-                # Keep-alives must survive the connected replica's death
-                # even without the resilient state machine: with expiry
-                # fencing on, a session silently starved of pings would
-                # be fenced out from under a client that is merely
-                # mid-failover on its request path.
-                if self.net.is_crashed(self.replica):
-                    self._failover()
-                self._xid += 1
-                # Fire-and-forget: the reply (if any) finds no pending
-                # future.
-                self.net.send(self.node_id, self.replica,
-                              ClientRequest(self.session_id or 0, self._xid,
-                                            PingOp()))
-                yield self.env.timeout(interval)
-            return
         while (not self._closed and not self._abandoned
                 and self.state is not SessionState.EXPIRED):
             self._xid += 1
@@ -463,7 +440,7 @@ class ZkClient:
                 except SessionExpiredError:
                     return
 
-    # -- session re-establishment (resilient clients) ----------------------
+    # -- session re-establishment ------------------------------------------
 
     def _reestablish(self):
         """Re-bind the session to the current replica after a suspicion.
@@ -719,34 +696,17 @@ class ZkClient:
                 del self._event_waiters[path]
 
     def await_notification(self, path: str, waiter: Event,
-                           repoll_ms: float = 2 * _BLOCK_PROBE_MS,
                            deadline: Optional[Event] = None):
-        """Wait for ``waiter``; how depends on the client's resilience.
+        """Wait for ``waiter`` (a :meth:`wait_for_event` future).
 
-        ``deadline`` (resilient path only) bounds the wait: when that
-        event fires first, None is returned — the watch stays armed
+        Reconnect re-arms the watch set and synthesizes missed events,
+        so the watch alone is safe to wait on. The periodic probe only
+        checks replica health (a crashed replica can't push
+        notifications) and triggers re-establishment. Returns the
+        notification, or None if the session expires, the client
+        closes, or ``deadline`` fires first — the watch then stays armed
         server-side, so callers must tolerate a later notification.
-
-        Non-resilient path — the historical re-poll safety net: a watch
-        notification raised while this client's replica was crashed or
-        cut off is lost for good, so waiting on the watch alone could
-        hang forever. Returns the notification when it arrives; returns
-        None after ``repoll_ms`` so the caller can re-check state and
-        re-arm.
-
-        Resilient path — no re-poll: reconnect re-arms the watch set
-        and synthesizes missed events, so the watch alone is safe to
-        wait on. The periodic probe only checks replica health (a
-        crashed replica can't push notifications) and triggers
-        re-establishment; None is returned only if the session expires
-        or the client closes mid-wait.
         """
-        if not self.resilient:
-            probe = self.env.timeout(repoll_ms)
-            yield self.env.any_of([waiter, probe])
-            if waiter.triggered:
-                return waiter.value
-            return None
         while True:
             probe = self.env.timeout(_BLOCK_PROBE_MS)
             events = [waiter, probe]
@@ -788,4 +748,5 @@ class ZkClient:
             self.discard_waiter(path, waiter)
             if notification is not None:
                 return notification
-            # Lost-notification suspicion: loop to re-check and re-arm.
+            # Session expired or client closed mid-wait: the re-issued
+            # exists call raises the matching error.

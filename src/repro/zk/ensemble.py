@@ -91,20 +91,23 @@ class ZkEnsemble:
     def client(self, node_id: Optional[str] = None,
                session_timeout_ms: float = 2000.0,
                replica: Optional[str] = None,
-               resilient: bool = False,
+               resilient: bool = True,
                cached_reads: bool = False) -> ZkClient:
         """Create a client; connection replica assigned round-robin.
 
-        ``resilient=True`` enables the client-side session state
-        machine: automatic failover with backoff, session
-        re-establishment, and watch re-registration with missed-event
-        synthesis (see :class:`~repro.zk.client.SessionState`).
+        Every client runs the session state machine: automatic failover
+        with backoff, session re-establishment, and watch
+        re-registration with missed-event synthesis (see
+        :class:`~repro.zk.client.SessionState`).
         ``cached_reads=True`` (pair with ``ZkConfig.leases``) adds the
         lease-protected read cache: hot-key reads served locally at
         0 RTT (see :mod:`repro.zk.leases`).
         """
         if not self._started:
             raise RuntimeError("start() the ensemble before creating clients")
+        if not resilient:
+            # Kept only so callers passing resilient=True still work.
+            raise ValueError("the session-resilient client is the only client")
         if node_id is None:
             node_id = f"zkclient{self._client_count}"
         if replica is None:
@@ -114,7 +117,6 @@ class ZkEnsemble:
                                  self.all_ids, replica=replica,
                                  session_timeout_ms=session_timeout_ms,
                                  track_zxid=self.config.local_reads,
-                                 resilient=resilient,
                                  cached_reads=cached_reads)
 
     def trees_consistent(self) -> bool:

@@ -101,14 +101,6 @@ class ZkConfig:
     #: park reads until they catch up. Off by default — the figure
     #: benchmarks reproduce the seed bit-for-bit with this off.
     local_reads: bool = False
-    #: Expiry fencing: a request stamped with a session id whose close
-    #: has been *applied* (or, at the leader, proposed) is rejected with
-    #: ``SESSION_EXPIRED`` instead of silently executed. Fencing keys on
-    #: the recorded closed-set, never on mere table absence, so a
-    #: lagging replica that has not applied a session's creation yet
-    #: never fences a healthy client. On by default: the default figure
-    #: workloads never close sessions, so their traffic is unchanged.
-    expiry_fencing: bool = True
     #: Leader-granted read leases for client-side caching (see
     #: ``leases.py``). ``None`` (the default) keeps every path — wire
     #: sizes, scheduling, replies — bit-identical to a lease-free build;
@@ -349,15 +341,16 @@ class ZkServer:
     def _fence_expired(self, session_id: int, op: Op) -> bool:
         """True when the request must be rejected with ``SESSION_EXPIRED``.
 
-        Fencing keys on the *recorded* closed-set (plus, at the leader,
-        the proposed-but-unapplied closing set) — never on mere table
-        absence, which on a lagging replica just means the session's
-        creation has not applied yet. ``CloseSessionOp`` is exempt so a
-        client retrying its own close still gets an answer.
+        Expiry fencing: a request stamped with a session id whose close
+        has been *applied* (or, at the leader, proposed) is rejected
+        instead of silently executed. Fencing keys on the *recorded*
+        closed-set (plus, at the leader, the proposed-but-unapplied
+        closing set) — never on mere table absence, which on a lagging
+        replica just means the session's creation has not applied yet.
+        ``CloseSessionOp`` is exempt so a client retrying its own close
+        still gets an answer.
         """
-        if not self.config.expiry_fencing or not session_id:
-            return False
-        if isinstance(op, CloseSessionOp):
+        if not session_id or isinstance(op, CloseSessionOp):
             return False
         if self.sessions.is_closed(session_id):
             return True

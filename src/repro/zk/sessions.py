@@ -98,16 +98,10 @@ class SessionTable:
         }
 
     def restore(self, snapshot: dict) -> None:
-        if "open" in snapshot or "closed" in snapshot:
-            open_sessions = snapshot.get("open", {})
-            self._closed_ids = set(snapshot.get("closed", ()))
-        else:
-            # Legacy format: a bare {sid: (timeout, client_id)} mapping.
-            open_sessions = snapshot
-            self._closed_ids = set()
+        self._closed_ids = set(snapshot["closed"])
         self._sessions = {
             sid: Session(sid, timeout_ms, client_id)
-            for sid, (timeout_ms, client_id) in open_sessions.items()
+            for sid, (timeout_ms, client_id) in snapshot["open"].items()
         }
 
 

@@ -40,3 +40,19 @@ def test_chaos_smoke_cell_raft(system, recipe):
         f"schedule:\n{run.schedule.describe()}\n"
         f"nemesis log:\n" + "\n".join(run.nemesis_log)
     )
+
+
+@pytest.mark.parametrize("system,recipe,seed", [("zk", "barrier", 9)])
+def test_chaos_regression_seed(system, recipe, seed):
+    """Seeds that once failed, pinned by their one-line replay.
+
+    zk/barrier seed 9: two clients' ``create /ready/2`` failed with
+    connection loss during a drop burst, ``ensure_object`` swallowed
+    the error, both counted the round as released, and the third
+    client blocked on a ready node that never existed.
+    """
+    run = run_chaos(system, recipe, seed)
+    assert run.ok, (
+        f"{system}/{recipe} seed {seed}: {run.result.reason}\n"
+        f"replay: {run.repro}"
+    )

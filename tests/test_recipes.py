@@ -7,10 +7,13 @@ recipes on EZK and EDS — the same matrix as the paper's §6.
 import pytest
 
 from tests.recipe_helpers import make_coords, make_ensemble, run_all
+from repro.core.errors import ObjectExistsError
 from repro.recipes import (ExtensionBarrier, ExtensionElection,
                            ExtensionQueue, ExtensionSharedCounter,
                            TraditionalBarrier, TraditionalElection,
-                           TraditionalQueue, TraditionalSharedCounter)
+                           TraditionalQueue, TraditionalSharedCounter,
+                           ensure_object)
+from repro.zk.errors import ConnectionLossError, NodeExistsError
 
 TRADITIONAL_SYSTEMS = ("zk", "ds")
 EXTENSIBLE_SYSTEMS = ("ezk", "eds")
@@ -247,3 +250,37 @@ class TestLeaderElection:
         raw[0].kill()
         ensemble.env.run(until=proc2)
         assert [entry[0] for entry in log] == ["first-leads", "second-leads"]
+
+
+class _FailingCoord:
+    """Coordination client whose every create fails with ``exc``."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def create(self, object_id, data=b""):
+        raise self.exc
+        yield  # pragma: no cover - makes this a generator
+
+
+def _drive(gen):
+    try:
+        while True:
+            next(gen)
+    except StopIteration as stop:
+        return stop.value
+
+
+class TestEnsureObject:
+    @pytest.mark.parametrize("exc", [NodeExistsError("/o"),
+                                     ObjectExistsError("/o")])
+    def test_lost_create_race_is_tolerated(self, exc):
+        assert _drive(ensure_object(_FailingCoord(exc), "/o")) == "/o"
+
+    def test_connection_loss_propagates(self):
+        # The object may not exist: treating the failed create as done
+        # left a barrier round with no /ready node, so a peer blocked
+        # on it forever (zk/barrier chaos seed 9).
+        coord = _FailingCoord(ConnectionLossError("no replica answered"))
+        with pytest.raises(ConnectionLossError):
+            _drive(ensure_object(coord, "/ready/2"))

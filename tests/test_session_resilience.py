@@ -3,7 +3,6 @@
 import pytest
 
 from repro.zk import SessionExpiredError, SessionState, ZkEnsemble
-from repro.zk.server import ZkConfig
 from repro.zk.txn import CloseSessionTxn
 from repro.zk.watches import EventType
 
@@ -50,7 +49,7 @@ def committed_close_txns(leader, session_id):
 
 class TestStateMachine:
     def test_suspend_then_reconnect_on_replica_crash(self, ensemble):
-        client = connected_client(ensemble, replica="zk1", resilient=True)
+        client = connected_client(ensemble, replica="zk1")
         states = []
         client.session_listeners.append(states.append)
 
@@ -69,8 +68,7 @@ class TestStateMachine:
         assert client.state is SessionState.CONNECTED
 
     def test_expired_is_terminal_client_side(self, ensemble):
-        client = connected_client(ensemble, session_timeout_ms=1000.0,
-                                  resilient=True)
+        client = connected_client(ensemble, session_timeout_ms=1000.0)
 
         def scenario():
             yield from client.create("/t", b"v0")
@@ -95,6 +93,10 @@ class TestStateMachine:
 
         assert run(ensemble, scenario())[0] == 0.0
 
+    def test_non_resilient_client_is_refused(self, ensemble):
+        with pytest.raises(ValueError):
+            ensemble.client(resilient=False)
+
 
 class TestExpiryFencing:
     def test_post_expiry_write_is_fenced(self, ensemble):
@@ -115,28 +117,10 @@ class TestExpiryFencing:
             if server._alive:
                 assert server.tree.get_data("/fenced")[0] == b"safe"
 
-    def test_fencing_off_reproduces_lossy_behavior(self):
-        ens = ZkEnsemble(n_replicas=3, seed=1,
-                         config=ZkConfig(expiry_fencing=False))
-        ens.start()
-        client = connected_client(ens, session_timeout_ms=1000.0)
-
-        def scenario():
-            yield from client.create("/fenced", b"safe")
-            client.abandon()
-            yield ens.env.timeout(3000.0)
-            yield from client.set_data("/fenced", b"zombie")
-            return "applied"
-
-        # The historical gate: without fencing the zombie write lands.
-        assert run(ens, scenario())[0] == "applied"
-        assert ens.leader.tree.get_data("/fenced")[0] == b"zombie"
-
     def test_fenced_pong_after_partition_expires_client(self, ensemble):
         """A client with no outstanding calls learns of its expiry from
         the fenced keep-alive pong once the partition heals."""
-        client = connected_client(ensemble, session_timeout_ms=1000.0,
-                                  resilient=True)
+        client = connected_client(ensemble, session_timeout_ms=1000.0)
         sid = client.session_id
         ensemble.net.partition([client.node_id], ensemble.all_ids)
         run_until(ensemble, lambda: sid not in ensemble.leader.sessions)
@@ -222,7 +206,7 @@ class TestWatchSynthesis:
     def test_missed_data_event_is_synthesized(self, ensemble):
         writer = connected_client(ensemble, replica="zk0")
         watcher = connected_client(ensemble, replica="zk1",
-                                   session_timeout_ms=1500.0, resilient=True)
+                                   session_timeout_ms=1500.0)
 
         def scenario():
             yield from writer.create("/w", b"v0")
@@ -246,7 +230,7 @@ class TestWatchSynthesis:
     def test_missed_child_event_is_synthesized(self, ensemble):
         writer = connected_client(ensemble, replica="zk0")
         watcher = connected_client(ensemble, replica="zk1",
-                                   session_timeout_ms=1500.0, resilient=True)
+                                   session_timeout_ms=1500.0)
 
         def scenario():
             yield from writer.create("/parent", b"")
@@ -268,7 +252,7 @@ class TestWatchSynthesis:
         write after reconnect (not a spurious synthesized one)."""
         writer = connected_client(ensemble, replica="zk0")
         watcher = connected_client(ensemble, replica="zk1",
-                                   session_timeout_ms=1500.0, resilient=True)
+                                   session_timeout_ms=1500.0)
         states = []
         watcher.session_listeners.append(states.append)
 

@@ -113,13 +113,6 @@ class TestSessionTableSnapshot:
         # The copy's closed-set keeps fencing decisions identical.
         assert restored.snapshot() == snap
 
-    def test_restore_accepts_legacy_bare_mapping(self):
-        restored = SessionTable()
-        restored.restore({7: (1500.0, "old-format")})
-        assert restored.ids() == [7]
-        assert restored.get(7).client_id == "old-format"
-        assert not restored.is_closed(7)
-
     def test_close_of_unknown_session_records_nothing(self):
         table = SessionTable()
         assert table.close(99) is None
