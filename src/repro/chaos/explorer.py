@@ -351,7 +351,9 @@ def run_chaos(system: str, recipe: str, seed: int, n_clients: int = 3,
     deadline = schedule.quiesce_ms + _DEADLINE_MARGIN_MS
     done = _run_to(env, env.all_of(workers), deadline)
     if not done:
-        stuck = [f"c{i}" for i, p in enumerate(workers) if not p.triggered]
+        # Worker label and the client's node id, the name traces use.
+        stuck = [f"c{i}={raw[i].node_id}"
+                 for i, p in enumerate(workers) if not p.triggered]
         return ChaosRun(system, recipe, seed, schedule, history,
                         CheckResult(False, f"liveness: workers {stuck} "
                                            f"stuck at t={env.now:g}ms"),

@@ -56,7 +56,7 @@ kernel a transport message and returns False for foreign payloads.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["AtomicBroadcast", "NotLeaderError", "ZK_KERNELS", "DS_KERNELS",
            "make_zxid", "zxid_epoch", "zxid_counter"]
@@ -101,7 +101,10 @@ class AtomicBroadcast:
         for an *established* leader — one whose history the quorum has
         confirmed, so ``propose`` and ``sync_barrier`` are safe);
     ``on_role_change``
-        optional callback, see module docstring.
+        optional callback, see module docstring;
+    ``stats``
+        counted protocol facts (proposals, commits, ...), reported by
+        :meth:`counters` as ``<metric_prefix>.<key>``.
     """
 
     node_id: str
@@ -109,6 +112,8 @@ class AtomicBroadcast:
     committed_zxid: int
     log: List
     on_role_change: Optional[Callable[[], None]]
+    stats: Dict[str, int]
+    metric_prefix = ""
 
     # -- lifecycle -------------------------------------------------------
 
@@ -162,6 +167,11 @@ class AtomicBroadcast:
         of reaching into kernel internals.
         """
         raise NotImplementedError
+
+    def counters(self) -> Iterator[Tuple[str, str, int]]:
+        """Counted protocol facts as ``(name, node, value)``."""
+        for key, value in self.stats.items():
+            yield f"{self.metric_prefix}.{key}", self.node_id, value
 
     def sync_barrier(self) -> int:
         """Linearizable-read barrier (valid at an established leader).

@@ -109,9 +109,8 @@ class DsClient:
         retransmits = 0
         obs = self.env.obs
         tracer = obs.tracer if obs is not None else None
-        sent_at = self.env.now
         if tracer is not None:
-            tracer.begin(self.node_id, seq, type(op).__name__, sent_at)
+            tracer.begin(self.node_id, seq, type(op).__name__, self.env.now)
         self.net.broadcast(self.node_id, self.replica_ids, request)
         while True:
             timer = self.env.timeout(self._backoff.delay(retransmits))
@@ -127,8 +126,6 @@ class DsClient:
                     f"no f+1 matching replies after {retransmits} tries")
             if tracer is not None:
                 tracer.retry(self.node_id, seq, self.env.now)
-            if obs is not None:
-                obs.metrics.inc("client.retries")
             self.net.broadcast(self.node_id, self.replica_ids, request)
         self._inflight.pop(seq, None)
         reply = future.value
@@ -136,11 +133,8 @@ class DsClient:
             if tracer is not None:
                 tracer.finish(self.node_id, seq, self.env.now, False)
             raise self._reconstruct_error(reply)
-        if obs is not None:
-            if tracer is not None:
-                tracer.finish(self.node_id, seq, self.env.now, True)
-            obs.metrics.observe("client.latency_ms", "",
-                                self.env.now - sent_at)
+        if tracer is not None:
+            tracer.finish(self.node_id, seq, self.env.now, True)
         return reply.value
 
     @staticmethod

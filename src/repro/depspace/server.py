@@ -25,7 +25,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.broadcast import DS_KERNELS
 from ..core.errors import ExtensionError
 from ..obs import (M_INGRESS, M_REPLY, FourLetterReply, FourLetterRequest,
-                   Observability, ObsConfig)
+                   MetricsRegistry, Observability, ObsConfig,
+                   network_counters)
 from ..raft import RaftConfig
 from ..sim import Environment, FifoResource, Network
 from .access import AccessControl, AccessDeniedError
@@ -72,9 +73,10 @@ class DsConfig:
     kernel: str = "pbft"
     #: Raft kernel tuning when ``kernel="raft"`` (None = defaults).
     raft: Optional[RaftConfig] = None
-    #: observability plane (tracing + metrics + four-letter words).
-    #: None (the default) leaves ``env.obs`` unset: no hook fires and
-    #: simulated behaviour is byte-identical to pre-obs builds.
+    #: request tracing (see ``repro.obs``). None (the default) leaves
+    #: ``env.obs`` unset: no milestone fires and simulated behaviour is
+    #: byte-identical to an unobserved run. Counts and ``mntr`` do not
+    #: depend on it.
     obs: Optional[ObsConfig] = None
 
 
@@ -156,8 +158,10 @@ class DsReplica:
         #: (EDS: an operation extension would consume it).
         self.read_router: Optional[Callable[[str, DsOp], bool]] = None
 
+        #: request-intake counts (see :meth:`counters`).
+        self.stats = {"requests": 0, "fast_reads": 0, "ordered": 0}
         if self.config.obs is not None:
-            Observability.install(env, self.config.obs)
+            Observability.install(env, self.config.obs, net)
 
         #: fault-injection: corrupt every reply (Byzantine behaviour).
         self.byzantine = False
@@ -259,13 +263,12 @@ class DsReplica:
     # -- request intake ----------------------------------------------------
 
     def _on_client_request(self, src: str, request: BftRequest) -> None:
+        self.stats["requests"] += 1
         obs = self.env.obs
         if obs is not None:
-            obs.metrics.inc("ds.requests", self.node_id)
-            if obs.tracer is not None:
-                obs.tracer.mark(request.request_id.client_id,
-                                request.request_id.seq, M_INGRESS,
-                                self.env.now, self.node_id)
+            obs.tracer.mark(request.request_id.client_id,
+                            request.request_id.seq, M_INGRESS,
+                            self.env.now, self.node_id)
         if self._is_fast_read(request):
             work = self.cpu.submit(self.timings.verify_ms
                                    + self.timings.fast_read_ms)
@@ -300,9 +303,7 @@ class DsReplica:
         """
         if not self._alive:
             return
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("ds.fast_reads", self.node_id)
+        self.stats["fast_reads"] += 1
         client_id = request.request_id.client_id
         op = request.op
         try:
@@ -328,9 +329,7 @@ class DsReplica:
     def _execute_now(self, request: BftRequest, ts: float) -> None:
         if not self._alive:
             return
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("ds.ordered", self.node_id)
+        self.stats["ordered"] += 1
         client_id = request.request_id.client_id
         op = request.op
         events: List[DsEvent] = []
@@ -516,11 +515,16 @@ class DsReplica:
 
     def _mark_reply(self, request_id: RequestId) -> None:
         obs = self.env.obs
-        if obs is not None and obs.tracer is not None:
+        if obs is not None:
             obs.tracer.mark(request_id.client_id, request_id.seq,
                             M_REPLY, self.env.now, self.node_id)
 
     # -- introspection ------------------------------------------------------------
+
+    def counters(self):
+        """This replica's counted facts as ``(name, node, value)``."""
+        for key, value in self.stats.items():
+            yield f"ds.{key}", self.node_id, value
 
     def _four_letter(self, command: str) -> str:
         """Answer a four-letter admin word from local state only."""
@@ -538,9 +542,8 @@ class DsReplica:
             lines = [f"ds_kernel\t{self.config.kernel}",
                      f"ds_exec_seq\t{self.ordering._exec_seq}",
                      f"ds_spaces\t{len(self.spaces)}"]
-            obs = self.env.obs
-            if obs is not None:
-                lines.extend(obs.metrics.mntr_lines(self.node_id))
+            lines += MetricsRegistry(
+                network_counters(self.net)).mntr_lines(self.node_id)
             return "\n".join(lines)
         if command == "wchs":
             # DepSpace has no watches; report blocked waiters instead

@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, network_counters
 
 __all__ = ["ObsConfig", "Observability", "Tracer", "Trace",
            "M_SEND", "M_INGRESS", "M_PROPOSE", "M_DELIVER", "M_REPLY",
@@ -53,7 +54,8 @@ M_RECV = "recv"
 
 @dataclass
 class ObsConfig:
-    """Observability knobs (attach to ``ZkConfig.obs`` / ``DsConfig.obs``).
+    """Turns the observability plane on (attach to ``ZkConfig.obs`` /
+    ``DsConfig.obs``).
 
     ``runtime`` is populated at install time with the shared
     :class:`Observability` instance so drivers that handed a config into
@@ -61,8 +63,6 @@ class ObsConfig:
     workload return type.
     """
 
-    trace: bool = True
-    metrics: bool = True
     runtime: Optional["Observability"] = field(
         default=None, repr=False, compare=False)
 
@@ -163,19 +163,31 @@ class Observability:
     """The shared per-run observability plane (lives on ``env.obs``).
 
     Components reach it with one attribute read (``env.obs``), guarded
-    by a ``None`` test; when no config asked for it the attribute stays
-    ``None`` and every instrumentation point costs a single comparison.
+    by a ``None`` test, only to stamp tracing milestones; when no config
+    asked for it the attribute stays ``None`` and every milestone costs
+    a single comparison. Counts are not reported here at all: they live
+    in their owners, and :attr:`metrics` reads them on demand.
     """
 
-    __slots__ = ("config", "metrics", "tracer")
+    __slots__ = ("net", "tracer")
 
-    def __init__(self, config: ObsConfig):
-        self.config = config
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer() if config.trace else None
+    def __init__(self, net):
+        self.net = net
+        self.tracer = Tracer()
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """Every count in the run, plus client retries (one extra send
+        mark each) and latencies (first send to reply) from the traces."""
+        traces = self.tracer.traces()
+        sends = sum(mark[0] == M_SEND for t in traces for mark in t.marks)
+        retries = [("client.retries", "", sends - len(traces))]
+        latencies = [t.marks[-1][1] - t.marks[0][1] for t in traces if t.ok]
+        return MetricsRegistry(chain(network_counters(self.net), retries),
+                               {("client.latency_ms", ""): latencies})
 
     @staticmethod
-    def install(env, config: ObsConfig) -> "Observability":
+    def install(env, config: ObsConfig, net) -> "Observability":
         """Idempotently attach an observability plane to ``env``.
 
         The first server constructed with an obs-bearing config creates
@@ -185,7 +197,7 @@ class Observability:
         """
         obs = env.obs
         if obs is None:
-            obs = Observability(config)
+            obs = Observability(net)
             env.obs = obs
         config.runtime = obs
         return obs

@@ -161,6 +161,8 @@ class SnapshotReply:
 class RaftPeer(AtomicBroadcast):
     """One replica's endpoint of the Raft protocol."""
 
+    metric_prefix = "raft"
+
     def __init__(self, env: Environment, node_id: str, peer_ids: List[str],
                  send: Callable[[str, object], None],
                  deliver: Callable[[object], None],
@@ -218,6 +220,8 @@ class RaftPeer(AtomicBroadcast):
         #: introspection counters (asserted by the conformance suite).
         self.snapshots_installed = 0
         self.snapshots_sent = 0
+        self.stats = {"proposals": 0, "elections": 0, "leaderships": 0,
+                      "commits": 0, "deliveries": 0}
 
     # -- introspection ---------------------------------------------------
 
@@ -229,6 +233,11 @@ class RaftPeer(AtomicBroadcast):
     @property
     def leadership_epoch(self) -> int:
         return self.current_term
+
+    def counters(self):
+        yield from super().counters()
+        yield ("raft.snapshots_installed", self.node_id,
+               self.snapshots_installed)
 
     @property
     def log(self) -> List[object]:
@@ -298,9 +307,7 @@ class RaftPeer(AtomicBroadcast):
     def propose(self, txn, meta=None) -> int:
         if not self.is_leader:
             raise NotLeaderError(self.node_id)
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("raft.proposals", self.node_id)
+        self.stats["proposals"] += 1
         index = self._append_local(txn, meta)
         zxid = self._entries[index - 1].record.zxid
         self._replicate_new(index)
@@ -399,9 +406,7 @@ class RaftPeer(AtomicBroadcast):
             self._send(peer, poll)
 
     def _start_candidacy(self, term: int) -> None:
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("raft.elections", self.node_id)
+        self.stats["elections"] += 1
         self.current_term = term
         self.voted_for = self.node_id
         self.role = RaftRole.CANDIDATE
@@ -613,9 +618,7 @@ class RaftPeer(AtomicBroadcast):
         self._set_commit(candidate)
         if not self._established and self.commit_index >= self._noop_index:
             self._established = True
-            obs = self.env.obs
-            if obs is not None:
-                obs.metrics.inc("raft.leaderships", self.node_id)
+            self.stats["leaderships"] += 1
             if self.on_role_change:
                 self.on_role_change()
         self._maybe_compact()
@@ -625,9 +628,7 @@ class RaftPeer(AtomicBroadcast):
             return
         self.commit_index = index
         self.committed_zxid = self._entries[index - 1].record.zxid
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("raft.commits", self.node_id)
+        self.stats["commits"] += 1
         delivered = 0
         while (self._delivered_upto < self.commit_index
                and self._delivered_upto < len(self._entries)):
@@ -635,8 +636,7 @@ class RaftPeer(AtomicBroadcast):
             self._delivered_upto += 1
             delivered += 1
             self._deliver(record)
-        if delivered and obs is not None:
-            obs.metrics.inc("raft.deliveries", self.node_id, delivered)
+        self.stats["deliveries"] += delivered
 
     def _maybe_compact(self) -> None:
         threshold = self.config.snapshot_threshold
@@ -664,9 +664,6 @@ class RaftPeer(AtomicBroadcast):
             # reproduces verbatim, so it carries over untouched.
             self._entries = list(msg.entries)
             self.snapshots_installed += 1
-            obs = self.env.obs
-            if obs is not None:
-                obs.metrics.inc("raft.snapshots_installed", self.node_id)
         self._set_commit(min(msg.leader_commit, msg.last_index))
         self._send(src, SnapshotReply(self.current_term, self.node_id,
                                       msg.last_index))

@@ -71,7 +71,7 @@ class Environment:
         self.events_processed = 0
         #: the run's observability plane (:class:`repro.obs.Observability`),
         #: installed by the first server whose config carries an
-        #: ``ObsConfig``; None keeps every instrumentation point to a
+        #: ``ObsConfig``; None keeps every tracing milestone to a
         #: single attribute-read-plus-comparison.
         self.obs = None
         if kernel is None:

@@ -18,7 +18,8 @@ import dataclasses
 import operator
 import random
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from .environment import Environment
 
@@ -241,9 +242,6 @@ class _Delivery:
         if self.dst in net._crashed:
             return
         net.bytes_received[self.dst] += self.size
-        obs = net.env.obs
-        if obs is not None:
-            obs.metrics.inc("net.bytes_received", self.dst, self.size)
         self.handler(self.src, self.msg)
 
 
@@ -268,6 +266,8 @@ class Network:
         self.bytes_sent: Dict[str, int] = defaultdict(int)
         self.msgs_sent: Dict[str, int] = defaultdict(int)
         self.bytes_received: Dict[str, int] = defaultdict(int)
+        #: messages the fault model dropped, billed to the sender.
+        self.dropped: Dict[str, int] = defaultdict(int)
         self._crashed: set[str] = set()
         self._partitions: set[frozenset[str]] = set()
         #: asymmetric partitions: (src, dst) pairs blocked one-way only.
@@ -288,6 +288,20 @@ class Network:
 
     def unregister(self, node_id: str) -> None:
         self._handlers.pop(node_id, None)
+
+    def endpoints(self) -> List[Any]:
+        """The objects whose bound methods are registered as inboxes."""
+        return [getattr(handler, "__self__", None)
+                for handler in self._handlers.values()]
+
+    def counters(self) -> Iterator[Tuple[str, str, int]]:
+        """Per-node traffic counts as ``(name, node, value)``."""
+        for name, per_node in (("net.msgs_sent", self.msgs_sent),
+                               ("net.bytes_sent", self.bytes_sent),
+                               ("net.bytes_received", self.bytes_received),
+                               ("net.dropped", self.dropped)):
+            for node, value in per_node.items():
+                yield name, node, value
 
     # -- fault injection ---------------------------------------------------
 
@@ -394,18 +408,11 @@ class Network:
     def _send_sized(self, src: str, dst: str, msg: Any, size: int) -> int:
         self.bytes_sent[src] += size
         self.msgs_sent[src] += 1
-        # Metric increments are dict writes only — no RNG draw, no
-        # scheduling — so instrumented runs keep the exact event stream.
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("net.msgs_sent", src)
-            obs.metrics.inc("net.bytes_sent", src, size)
         # Fast path: no faults injected, nothing can block the message.
         faults = (self._crashed or self._partitions or self._oneway
                   or self.drop_probability or self._rules)
         if faults and self._blocked(src, dst, msg):
-            if obs is not None:
-                obs.metrics.inc("net.dropped", src)
+            self.dropped[src] += 1
             return size
         handler = self._handlers.get(dst)
         if handler is None:

@@ -126,6 +126,11 @@ class ZkClient:
             raise RuntimeError("client id unknown before connect()")
         return str(self.session_id)
 
+    def counters(self):
+        """Read-cache hits, labelled process-wide (node ``""``)."""
+        if self._cache is not None:
+            yield "client.cache_hits", "", self._cache.stats["hits"]
+
     # -- inbox -------------------------------------------------------------
 
     def _on_message(self, src: str, msg: object) -> None:
@@ -210,16 +215,12 @@ class ZkClient:
         loss_retries = 0
         obs = self.env.obs
         tracer = obs.tracer if obs is not None else None
-        sent_at = self.env.now
         if tracer is not None:
-            tracer.begin(self.node_id, xid, type(op).__name__, sent_at)
+            tracer.begin(self.node_id, xid, type(op).__name__, self.env.now)
         while True:
             attempts += 1
-            if attempts > 1:
-                if tracer is not None:
-                    tracer.retry(self.node_id, xid, self.env.now)
-                if obs is not None:
-                    obs.metrics.inc("client.retries")
+            if attempts > 1 and tracer is not None:
+                tracer.retry(self.node_id, xid, self.env.now)
             future = self.env.event()
             self._pending[xid] = future
             if (self._cache is not None
@@ -286,11 +287,8 @@ class ZkClient:
             self._note_watch(op, reply.value)
             if self._cache is not None:
                 self._cache_note(op, reply)
-            if obs is not None:
-                if tracer is not None:
-                    tracer.finish(self.node_id, xid, self.env.now, True)
-                obs.metrics.observe("client.latency_ms", "",
-                                    self.env.now - sent_at)
+            if tracer is not None:
+                tracer.finish(self.node_id, xid, self.env.now, True)
             return reply.value
 
     def _cache_note(self, op: Op, reply: ClientReply) -> None:
@@ -637,9 +635,6 @@ class ZkClient:
         if self._cache is not None and not watch:
             hit = self._cache.data(path, self.env.now)
             if hit is not CACHE_MISS:
-                obs = self.env.obs
-                if obs is not None:
-                    obs.metrics.inc("client.cache_hits")
                 # 0 RTT: a sliver of local CPU, no network.
                 yield self.env.timeout(self._cache.hit_cost_ms)
                 return hit
@@ -656,9 +651,6 @@ class ZkClient:
         if self._cache is not None and not watch:
             hit = self._cache.stat(path, self.env.now)
             if hit is not CACHE_MISS:
-                obs = self.env.obs
-                if obs is not None:
-                    obs.metrics.inc("client.cache_hits")
                 yield self.env.timeout(self._cache.hit_cost_ms)
                 return hit
         value = yield from self._call(ExistsOp(path, watch))

@@ -215,8 +215,14 @@ class ChainNode:
         self.store: Dict[str, Tuple[bytes, int]] = {}
         #: final values of keys configured away, kept for the drain.
         self.retired: Dict[str, Tuple[bytes, int]] = {}
+        self.stats = {"reads": 0, "writes": 0, "nacks": 0}
         self._alive = True
         net.register(node_id, self.handle_message)
+
+    def counters(self):
+        """This member's counted facts as ``(name, node, value)``."""
+        for key, value in self.stats.items():
+            yield f"hotchain.{key}", self.node_id, value
 
     # -- roles -------------------------------------------------------------
 
@@ -284,15 +290,12 @@ class ChainNode:
         self.keys = new_keys
 
     def _on_write(self, msg: ChainWrite) -> None:
-        obs = self.env.obs
         if not self.is_head or msg.key not in self.keys:
-            if obs is not None:
-                obs.metrics.inc("hotchain.nacks", self.node_id)
+            self.stats["nacks"] += 1
             self.net.send(self.node_id, msg.origin,
                           ChainNack(msg.xid, msg.key, "not head"))
             return
-        if obs is not None:
-            obs.metrics.inc("hotchain.writes", self.node_id)
+        self.stats["writes"] += 1
         version = self.store.get(msg.key, (b"", 0))[1] + 1
         self.store[msg.key] = (msg.value, version)
         self._propagate(msg.xid, msg.key, msg.value, version, msg.origin)
@@ -320,15 +323,12 @@ class ChainNode:
                                    origin))
 
     def _on_read(self, msg: ChainRead) -> None:
-        obs = self.env.obs
         if not self.is_tail or msg.key not in self.keys:
-            if obs is not None:
-                obs.metrics.inc("hotchain.nacks", self.node_id)
+            self.stats["nacks"] += 1
             self.net.send(self.node_id, msg.origin,
                           ChainNack(msg.xid, msg.key, "not tail"))
             return
-        if obs is not None:
-            obs.metrics.inc("hotchain.reads", self.node_id)
+        self.stats["reads"] += 1
         value, version = self.store.get(msg.key, (b"", 0))
         self.net.send(self.node_id, msg.origin,
                       ChainReadReply(msg.xid, msg.key, value, version))

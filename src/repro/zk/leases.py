@@ -236,11 +236,7 @@ class LeaseTable:
         self.recovery_until: float = 0.0
         self._next_seq = 0
         self._epoch = 1
-        #: optional obs hooks (a MetricsRegistry plus the owning node's
-        #: label), assigned by the server after construction — the table
-        #: is pure bookkeeping and has no environment access of its own.
-        self.metrics = None
-        self.metrics_node = ""
+        self.stats = {"granted": 0, "denied": 0, "revoked_acks": 0}
 
     # -- leadership --------------------------------------------------------
 
@@ -273,8 +269,7 @@ class LeaseTable:
         """Issue a lease, or None while the path has a writer anywhere
         between ingress and commit."""
         if self.write_pending.get(path):
-            if self.metrics is not None:
-                self.metrics.inc("leases.denied", self.metrics_node)
+            self.stats["denied"] += 1
             return None
         self._next_seq += 1
         # Epoch-scaled ids: monotone across leaderships, so a client's
@@ -285,8 +280,7 @@ class LeaseTable:
         self.leases.setdefault(path, {})[lease_id] = lease
         self.by_session.setdefault(session_id, set()).add(lease_id)
         self._by_id[lease_id] = lease
-        if self.metrics is not None:
-            self.metrics.inc("leases.granted", self.metrics_node)
+        self.stats["granted"] += 1
         return lease
 
     def active_on(self, paths, now: float) -> List[Lease]:
@@ -330,8 +324,7 @@ class LeaseTable:
         lease = self._by_id.get(lease_id)
         if lease is not None:
             self._drop(lease)
-            if self.metrics is not None:
-                self.metrics.inc("leases.revoked_acks", self.metrics_node)
+            self.stats["revoked_acks"] += 1
         ready = []
         for gate in self.gates:
             if not gate.fired and lease_id in gate.waiting:

@@ -61,8 +61,8 @@ from .txn import (ClientReply, ClientRequest, CloseSessionOp, CloseSessionTxn,
                   is_update)
 from ..core.broadcast import make_zk_kernel
 from ..obs import (M_DELIVER, M_INGRESS, M_PROPOSE, M_REPLY,
-                   FourLetterReply, FourLetterRequest, Observability,
-                   ObsConfig)
+                   FourLetterReply, FourLetterRequest, MetricsRegistry,
+                   Observability, ObsConfig, network_counters)
 from ..raft import RaftConfig
 from .watches import EventType, WatchEvent, WatchManager
 from .zab import ZabConfig
@@ -107,10 +107,10 @@ class ZkConfig:
     #: set to a :class:`LeaseConfig` to let ``cached_reads`` clients
     #: serve hot-key reads from local memory at 0 RTT.
     leases: Optional[LeaseConfig] = None
-    #: deterministic tracing + metrics (see ``repro.obs``). ``None``
-    #: (the default) leaves ``env.obs`` unset, so every instrumentation
-    #: point costs one attribute read and the run is byte-identical to
-    #: an unobserved one.
+    #: deterministic request tracing (see ``repro.obs``). ``None`` (the
+    #: default) leaves ``env.obs`` unset, so every tracing milestone
+    #: costs one attribute read and the run is byte-identical to an
+    #: unobserved one. Counts and ``mntr`` do not depend on it.
     obs: Optional[ObsConfig] = None
 
 
@@ -250,16 +250,13 @@ class ZkServer:
         #: extension registry from the /em index, §3.8).
         self.on_recover: Optional[Callable[["ZkServer"], None]] = None
 
+        #: request-pipeline counts (see :meth:`counters`).
+        self.stats = {"reads": 0, "writes": 0, "forwards": 0,
+                      "watch_deliveries": 0}
         # Observability plane: the first obs-configured server installs
-        # it on the env; the tables above get their metric hooks here
-        # (they are pure bookkeeping with no env access of their own).
+        # it on the env (tracing; counts above are kept regardless).
         if self.config.obs is not None:
-            obs = Observability.install(env, self.config.obs)
-            self.sessions.metrics = obs.metrics
-            self.sessions.metrics_node = node_id
-            if self._lease_table is not None:
-                self._lease_table.metrics = obs.metrics
-                self._lease_table.metrics_node = node_id
+            Observability.install(env, self.config.obs, net)
 
         self._alive = True
         net.register(node_id, self.handle_message)
@@ -359,8 +356,7 @@ class ZkServer:
     def _on_client_request(self, src: str, req: ClientRequest) -> None:
         op = req.op
         obs = self.env.obs
-        if obs is not None and obs.tracer is not None \
-                and not isinstance(op, PingOp):
+        if obs is not None and not isinstance(op, PingOp):
             obs.tracer.mark(src, req.xid, M_INGRESS, self.env.now,
                             self.node_id)
         if self._fence_expired(req.session_id, op):
@@ -397,17 +393,14 @@ class ZkServer:
 
     def _route_update(self, meta: RequestMeta, req: ClientRequest) -> None:
         self.local_sessions[req.session_id] = meta.client_node
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("zk.writes", self.node_id)
+        self.stats["writes"] += 1
         if self.broadcast.is_leader:
             if self._lease_table is not None:
                 self._gate_or_prep(meta, req.op)
             else:
                 self._enter_prep(meta, req.op)
         elif self.broadcast.leader_id is not None:
-            if obs is not None:
-                obs.metrics.inc("zk.forwards", self.node_id)
+            self.stats["forwards"] += 1
             self.net.send(self.node_id, self.broadcast.leader_id,
                           Forward(req, self.node_id, meta.client_node))
         else:
@@ -472,9 +465,7 @@ class ZkServer:
     def _handle_read(self, meta: RequestMeta, op: Op,
                      last_zxid: int = 0, wants_lease: bool = False) -> None:
         self.local_sessions[meta.session_id] = meta.client_node
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("zk.reads", self.node_id)
+        self.stats["reads"] += 1
         if self.config.local_reads:
             # Session consistency: never serve a state older than what
             # this session has already seen (request stamp) or what this
@@ -717,8 +708,7 @@ class ZkServer:
                          + [b.expires_at + grace for b in blockers])
         gate = WriteGate("update", paths, {b.lease_id for b in blockers},
                          not_before, meta=meta, op=op)
-        obs = self.env.obs
-        if obs is not None and obs.tracer is not None:
+        if self.env.obs is not None:
             # Ad-hoc stamp (WriteGate is a plain dataclass): the gate
             # wait surfaces as an aux span when the write finally fires.
             gate.obs_gated_at = now
@@ -782,12 +772,12 @@ class ZkServer:
             self._reply_error(gate.meta,
                               ConnectionLossError("leadership moved"))
             return
-        obs = self.env.obs
         gated_at = getattr(gate, "obs_gated_at", None)
-        if obs is not None and obs.tracer is not None and gated_at is not None:
-            obs.tracer.aux(gate.meta.client_node, gate.meta.xid,
-                           "lease_gate", gated_at, self.env.now,
-                           self.node_id, detail=f"paths={len(gate.paths)}")
+        if gated_at is not None:
+            self.env.obs.tracer.aux(
+                gate.meta.client_node, gate.meta.xid, "lease_gate",
+                gated_at, self.env.now, self.node_id,
+                detail=f"paths={len(gate.paths)}")
         self._enter_prep(gate.meta, gate.op, lease_paths=gate.paths)
 
     def _gate_session_close(self, session_id: int) -> bool:
@@ -901,7 +891,7 @@ class ZkServer:
 
     def _mark_propose(self, meta: RequestMeta, zxid: int) -> None:
         obs = self.env.obs
-        if obs is not None and obs.tracer is not None:
+        if obs is not None:
             obs.tracer.mark(meta.client_node, meta.xid, M_PROPOSE,
                             self.env.now, self.node_id,
                             epoch=self.broadcast.leadership_epoch,
@@ -1063,8 +1053,7 @@ class ZkServer:
 
     def _on_deliver(self, record: TxnRecord) -> None:
         obs = self.env.obs
-        if (obs is not None and obs.tracer is not None
-                and record.meta is not None
+        if (obs is not None and record.meta is not None
                 and record.meta.origin_replica == self.node_id):
             obs.tracer.mark(record.meta.client_node, record.meta.xid,
                             M_DELIVER, self.env.now, self.node_id,
@@ -1191,7 +1180,6 @@ class ZkServer:
                         event.path, ()):
                     self._reply(client, ClientReply(
                         xid, True, ("unblocked", event.path)))
-        obs = self.env.obs
         for session_id, watch_event in notifications:
             if (self.notification_filter is not None
                     and self.notification_filter(session_id, watch_event)):
@@ -1199,8 +1187,7 @@ class ZkServer:
             client = self.local_sessions.get(session_id)
             if client is None:
                 continue
-            if obs is not None:
-                obs.metrics.inc("zk.watch_deliveries", self.node_id)
+            self.stats["watch_deliveries"] += 1
             if self.config.local_reads:
                 # Stamp the triggering txn's zxid so a read issued after
                 # the notification (even at another replica) observes the
@@ -1234,9 +1221,7 @@ class ZkServer:
                 if (session_id in self.sessions
                         and session_id not in self._closing_sessions):
                     self._closing_sessions.add(session_id)
-                    obs = self.env.obs
-                    if obs is not None:
-                        obs.metrics.inc("sessions.expired", self.node_id)
+                    self.sessions.stats["expired"] += 1
                     if (self._lease_table is not None
                             and self._gate_session_close(session_id)):
                         # The close deletes leased ephemerals: it parks
@@ -1248,6 +1233,17 @@ class ZkServer:
                     self.broadcast.propose(CloseSessionTxn(session_id), None)
 
     # -- introspection (four-letter words) -----------------------------------
+
+    def counters(self):
+        """This replica's counted facts as ``(name, node, value)``."""
+        node = self.node_id
+        tables = [("zk", self.stats), ("sessions", self.sessions.stats)]
+        if self._lease_table is not None:
+            tables.append(("leases", self._lease_table.stats))
+        for prefix, stats in tables:
+            for key, value in stats.items():
+                yield f"{prefix}.{key}", node, value
+        yield from self.broadcast.counters()
 
     def _four_letter(self, command: str) -> str:
         """Answer one diagnostic command (``ruok``/``stat``/``mntr``/``wchs``).
@@ -1277,9 +1273,8 @@ class ZkServer:
                 f"zk_epoch\t{self.broadcast.leadership_epoch}",
                 f"zk_sessions\t{len(self.sessions)}",
             ]
-            obs = self.env.obs
-            if obs is not None:
-                lines += obs.metrics.mntr_lines(self.node_id)
+            lines += MetricsRegistry(
+                network_counters(self.net)).mntr_lines(self.node_id)
             return "\n".join(lines)
         if command == "wchs":
             paths, total = self.watches.counts()
@@ -1290,8 +1285,7 @@ class ZkServer:
 
     def _reply(self, client_node: str, payload: object) -> None:
         obs = self.env.obs
-        if obs is not None and obs.tracer is not None \
-                and isinstance(payload, ClientReply):
+        if obs is not None and isinstance(payload, ClientReply):
             # Watch pushes are keyed by session, not xid — only request
             # replies close a trace's server-side span.
             obs.tracer.mark(client_node, payload.xid, M_REPLY,

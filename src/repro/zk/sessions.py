@@ -48,17 +48,15 @@ class SessionTable:
         #: only). The lease table hangs its grant-index cleanup here so
         #: closed sessions cannot accumulate bookkeeping.
         self.on_close: Optional[Callable[[int], None]] = None
-        #: optional obs hooks (a MetricsRegistry plus the owning node's
-        #: label), assigned by the server — the table has no env access.
-        self.metrics = None
-        self.metrics_node = ""
+        #: ``expired`` is bumped by the leader's expiry sweep, which
+        #: decides expiry; the table only applies the close.
+        self.stats = {"created": 0, "closed": 0, "expired": 0}
 
     def create(self, session_id: int, timeout_ms: float,
                client_id: str = "") -> Session:
         session = Session(session_id, timeout_ms, client_id)
         self._sessions[session_id] = session
-        if self.metrics is not None:
-            self.metrics.inc("sessions.created", self.metrics_node)
+        self.stats["created"] += 1
         return session
 
     def close(self, session_id: int) -> Optional[Session]:
@@ -66,8 +64,7 @@ class SessionTable:
         if session is not None:
             session.closed = True
             self._closed_ids.add(session_id)
-            if self.metrics is not None:
-                self.metrics.inc("sessions.closed", self.metrics_node)
+            self.stats["closed"] += 1
             if self.on_close is not None:
                 self.on_close(session_id)
         return session

@@ -154,6 +154,8 @@ class SyncRequest:
 class ZabPeer(AtomicBroadcast):
     """One replica's endpoint of the broadcast protocol."""
 
+    metric_prefix = "zab"
+
     def __init__(self, env: Environment, node_id: str, peer_ids: List[str],
                  send: Callable[[str, object], None],
                  deliver: Callable[[TxnRecord], None],
@@ -212,6 +214,8 @@ class ZabPeer(AtomicBroadcast):
         self._sync_pending = False
         self._alive = True
         self.on_role_change: Optional[Callable[[], None]] = None
+        self.stats = {"proposals": 0, "commits": 0, "deliveries": 0,
+                      "elections": 0, "leaderships": 0}
 
     # -- introspection ---------------------------------------------------
 
@@ -322,9 +326,7 @@ class ZabPeer(AtomicBroadcast):
         zxid = make_zxid(self.epoch, self._counter)
         record = TxnRecord(zxid=zxid, txn=txn, meta=meta)
         self.log.append(record)
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("zab.proposals", self.node_id)
+        self.stats["proposals"] += 1
         self._ack_update(self.node_id, zxid)
         self._pending_batch.append(record)
         if (len(self._pending_batch) >= self.config.batch_max_txns
@@ -477,9 +479,7 @@ class ZabPeer(AtomicBroadcast):
         if zxid_epoch(candidate) != self.epoch:
             return
         self.committed_zxid = candidate
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("zab.commits", self.node_id)
+        self.stats["commits"] += 1
         self._deliver_committed()
         self._fan_out(Commit(self.epoch, candidate))
 
@@ -500,10 +500,7 @@ class ZabPeer(AtomicBroadcast):
             self._delivered_upto += 1
             delivered += 1
             self._deliver(record)
-        if delivered:
-            obs = self.env.obs
-            if obs is not None:
-                obs.metrics.inc("zab.deliveries", self.node_id, delivered)
+        self.stats["deliveries"] += delivered
 
     # -- liveness ----------------------------------------------------------
 
@@ -578,9 +575,7 @@ class ZabPeer(AtomicBroadcast):
         self.leader_id = None
         self._pending_batch = []
         self._term += 1
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("zab.elections", self.node_id)
+        self.stats["elections"] += 1
         self._votes = {self.node_id: (self.last_zxid, self.node_id)}
         self._election_pending = True
         vote = Vote(self._term, self.last_zxid, self.node_id)
@@ -703,9 +698,7 @@ class ZabPeer(AtomicBroadcast):
 
     def _finish_establishment(self) -> None:
         self._established = True
-        obs = self.env.obs
-        if obs is not None:
-            obs.metrics.inc("zab.leaderships", self.node_id)
+        self.stats["leaderships"] += 1
         # Commit the whole inherited log (Zab: NEW_LEADER quorum-ack implies
         # everything in the new leader's history is committed).
         if self.last_zxid > self.committed_zxid:

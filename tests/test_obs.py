@@ -6,22 +6,32 @@ The load-bearing guarantees:
 * **off path is inert** — a run without ``ObsConfig`` must produce
   byte-identical simulated metrics and event counts to the pre-obs
   code (the figure JSONs and BENCH_core.json depend on it);
-* **on path is transparent** — tracing and metrics are dict writes
-  only, so an instrumented run's *simulated* behaviour is identical
-  to an uninstrumented one;
+* **on path is transparent** — tracing is side-table writes only, so
+  an instrumented run's *simulated* behaviour is identical to an
+  uninstrumented one;
+* **one ledger per count** — counts live in the components that own
+  them and are kept whether or not obs is on; the metrics registry is
+  a view pulled from them (and from the traces, for client retries and
+  latency), pinned here to exact values, and ``mntr`` answers the same
+  with obs on or off;
 * **traces are deterministic** — two same-seed runs dump
   byte-identical JSONL;
 * **phases telescope** — per-trace phase sums equal end-to-end
-  latency exactly (the ISSUE tolerance is 1%; construction gives 0).
+  latency exactly (the tolerance is 1%; construction gives 0).
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.bench.workload import run_queue_workload
+from repro.chaos.explorer import run_chaos
+from repro.chaos.schedule import FaultAction, Schedule
+from repro.depspace import DsEnsemble
+from repro.depspace.server import DsConfig
 from repro.obs import (FOUR_LETTER_COMMANDS, ObsConfig, breakdown,
                        check_trace, format_breakdown, format_waterfall,
                        phases_of, probe)
@@ -140,6 +150,48 @@ class TestMetrics:
         assert sum(buckets) > 0
 
 
+#: per-name totals and the client latency histogram of two traced cells,
+#: recorded when every count was still pushed into the registry by hand.
+#: The pulled view must reproduce them exactly.
+FIG8_TOTALS = {
+    "net.bytes_received": 5191666, "net.bytes_sent": 5191666,
+    "net.msgs_sent": 42556, "sessions.created": 24, "zab.commits": 3614,
+    "zab.deliveries": 10842, "zab.proposals": 3614, "zk.forwards": 2223,
+    "zk.reads": 5692, "zk.writes": 3614,
+}
+FIG8_LATENCY = [4996, 1011, 20] + [0] * 12
+CHAOS_QUEUE_6_TOTALS = {
+    "client.retries": 5, "net.bytes_received": 106914,
+    "net.bytes_sent": 111244, "net.dropped": 44, "net.msgs_sent": 1031,
+    "sessions.created": 12, "zab.commits": 30, "zab.deliveries": 120,
+    "zab.elections": 4, "zab.proposals": 30, "zk.forwards": 30,
+    "zk.reads": 68, "zk.writes": 35,
+}
+CHAOS_QUEUE_6_LATENCY = [76, 27] + [0] * 11 + [1, 0]
+
+
+def _totals(metrics) -> dict:
+    names = {name for name, _node in metrics.counters}
+    return {name: metrics.total(name) for name in names}
+
+
+class TestPulledMetricsParity:
+    def test_fig8_cell(self, traced_cell):
+        _, obs = traced_cell
+        metrics = obs.metrics
+        assert _totals(metrics) == FIG8_TOTALS
+        assert metrics.histograms == {("client.latency_ms", ""):
+                                      FIG8_LATENCY}
+
+    def test_chaos_cell_with_resends(self):
+        obs_cfg = ObsConfig()
+        run_chaos("zk", "queue", 6, obs=obs_cfg)
+        metrics = obs_cfg.runtime.metrics
+        assert _totals(metrics) == CHAOS_QUEUE_6_TOTALS
+        assert metrics.histograms == {("client.latency_ms", ""):
+                                      CHAOS_QUEUE_6_LATENCY}
+
+
 class TestIntrospection:
     @pytest.fixture(scope="class")
     def live_zk(self):
@@ -184,6 +236,47 @@ class TestIntrospection:
                         live_zk.replica_ids[0], "wchs")
         assert "Total watches: 1" in payload
 
+    def test_mntr_independent_of_obs(self):
+        """Counts are kept with obs off too: one ``mntr`` path."""
+        def zk_mntr(obs_cfg):
+            ensemble = ZkEnsemble(n_replicas=3, seed=11,
+                                  config=ZkConfig(obs=obs_cfg))
+            ensemble.start()
+            client = ensemble.client()
+
+            def work():
+                yield from client.connect()
+                yield from client.create("/probe", b"x")
+                yield from client.get_data("/probe", watch=True)
+                yield from client.set_data("/probe", b"y")
+
+            ensemble.env.run(until=ensemble.env.process(work()))
+            return [probe(ensemble.env, ensemble.net, target, "mntr")
+                    for target in ensemble.replica_ids]
+
+        def ds_mntr(obs_cfg):
+            ensemble = DsEnsemble(f=1, seed=11, config=DsConfig(obs=obs_cfg))
+            ensemble.start()
+            client = ensemble.client()
+
+            def work():
+                for i in range(3):
+                    yield from client.out("k", i)
+                yield from client.rdp("k", 0)
+
+            ensemble.env.run(until=ensemble.env.process(work()))
+            return [probe(ensemble.env, ensemble.net, target, "mntr")
+                    for target in ensemble.replica_ids]
+
+        zk_on, zk_off = zk_mntr(ObsConfig()), zk_mntr(None)
+        assert zk_off == zk_on
+        assert all("zab.proposals\t" in p and "zk.watch_deliveries\t1" in p
+                   for p in zk_off if "zk_server_state\tleader" in p)
+        ds_on, ds_off = ds_mntr(ObsConfig()), ds_mntr(None)
+        assert ds_off == ds_on
+        assert all("ds.ordered\t" in p and "net.msgs_sent\t" in p
+                   for p in ds_off)
+
     def test_unknown_command_is_answered_not_dropped(self, live_zk):
         payload = probe(live_zk.env, live_zk.net,
                         live_zk.replica_ids[0], "xxxx")
@@ -202,9 +295,6 @@ class TestIntrospection:
 
 class TestDepSpace:
     def test_traced_ds_run(self):
-        from repro.depspace import DsEnsemble
-        from repro.depspace.server import DsConfig
-
         obs_cfg = ObsConfig()
         ensemble = DsEnsemble(f=1, seed=11, config=DsConfig(obs=obs_cfg))
         ensemble.start()
@@ -236,8 +326,6 @@ class TestDepSpace:
 
 class TestChaosTrace:
     def test_traced_chaos_replay_matches_untraced_verdict(self):
-        from repro.chaos.explorer import run_chaos
-
         plain = run_chaos("zk", "counter", 17)
         obs_cfg = ObsConfig()
         traced = run_chaos("zk", "counter", 17, obs=obs_cfg)
@@ -247,3 +335,19 @@ class TestChaosTrace:
         assert traces
         defects = [d for d in map(check_trace, traces) if d]
         assert defects == []
+
+    @pytest.mark.parametrize("system", ["zk", "ds"])
+    def test_stuck_workers_named_like_the_trace(self, system):
+        """The quiesce fires first, so the crash and the partition after
+        it never heal: a voter majority stays down past the deadline."""
+        outage = Schedule((FaultAction(100.0, "crash_leader"),
+                           FaultAction(100.0, "partition_follower")),
+                          quiesce_ms=0.0)
+        obs_cfg = ObsConfig()
+        run = run_chaos(system, "queue", 1, schedule=outage, obs=obs_cfg)
+        assert not run.ok
+        assert run.result.reason.startswith("liveness: workers")
+        stuck = re.findall(r"'c(\d+)=(\w+)'", run.result.reason)
+        assert stuck == [(str(i), f"{system}client{i}") for i in range(3)]
+        traced = {t.client for t in obs_cfg.runtime.tracer.traces()}
+        assert {name for _, name in stuck} <= traced
