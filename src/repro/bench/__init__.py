@@ -1,15 +1,16 @@
 """Benchmark harness: workload drivers and table/figure generators.
 
 ``repro.bench.figures`` has one entry point per table and figure of the
-paper's evaluation; ``repro.bench.workload`` holds the underlying
+paper's evaluation, plus the read-scaling and zipf-hot read-path
+figures; ``repro.bench.workload`` holds the underlying
 closed-loop drivers; ``repro.bench.systems`` builds the four evaluated
 systems.
 """
 
 from .figures import (FigureResult, client_counts, figure6, figure8,
                       figure10, figure12, figure13, overhead_regular_ops,
-                      print_result, print_table1, print_table2, table1,
-                      table2)
+                      print_result, print_table1, print_table2,
+                      read_scaling, table1, table2, zipf_hot)
 from .openloop import Workload, run_openloop_workload
 from .systems import EXTENSIBLE, SYSTEMS, make_coords, make_ensemble, run_all
 from .workload import (WorkloadResult, run_barrier_workload,
@@ -27,5 +28,5 @@ __all__ = [
     "FigureResult", "client_counts", "print_result",
     "table1", "table2", "print_table1", "print_table2",
     "figure6", "figure8", "figure10", "figure12", "figure13",
-    "overhead_regular_ops",
+    "overhead_regular_ops", "read_scaling", "zipf_hot",
 ]

@@ -6,6 +6,11 @@ whose rows mirror the published series. ``print_result`` renders the
 same rows/series the paper plots. Full 6-point sweeps are expensive in
 a discrete-event simulator; set ``REPRO_FULL=1`` for the paper's exact
 client counts, otherwise a 4-point sweep is used.
+
+Two further entries measure this repository's read-path additions in
+the same form: :func:`read_scaling` (local reads plus observers against
+leader-only reads) and :func:`zipf_hot` (lease-protected client caching
+under skewed open-loop reads).
 """
 
 from __future__ import annotations
@@ -14,16 +19,18 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .openloop import Workload, run_openloop_workload
 from .workload import (WorkloadResult, run_barrier_workload,
                        run_counter_workload, run_election_workload,
                        run_queue_with_regular_clients,
-                       run_queue_workload, run_regular_op_latency)
+                       run_queue_workload, run_read_heavy_workload,
+                       run_regular_op_latency)
 
 __all__ = [
     "FigureResult", "client_counts", "print_result",
     "table1", "table2",
     "figure6", "figure8", "figure10", "figure12", "figure13",
-    "overhead_regular_ops",
+    "overhead_regular_ops", "read_scaling", "zipf_hot",
 ]
 
 FULL_SWEEP = os.environ.get("REPRO_FULL", "") not in ("", "0")
@@ -268,4 +275,82 @@ def overhead_regular_ops(measure_ms: float = 400.0) -> FigureResult:
             figure.notes.append(
                 f"{ext} vs {base} {key.replace('regular_', '').replace('_ms', '')}"
                 f" overhead: {overhead:+.2%} (paper: < 0.4%)")
+    return figure
+
+
+# ---------------------------------------------------------------------------
+# Read path (beyond the paper)
+# ---------------------------------------------------------------------------
+
+READ_CLIENTS = 32
+READ_OBSERVERS = 2
+
+
+def read_scaling() -> FigureResult:
+    """90/10 read-heavy load: leader-only reads vs local reads + observers.
+
+    The leader-only cell pins every client to the bootstrap leader; the
+    scaled cell serves session-consistent reads at the replica each
+    client is connected to, with two observers widening read capacity.
+    """
+    figure = FigureResult(
+        "Read scaling",
+        f"90/10 read-heavy throughput, {READ_CLIENTS} clients: leader-only vs "
+        f"local reads + {READ_OBSERVERS} observers")
+    scaled = f"local_reads+{READ_OBSERVERS}obs"
+    for kind in ("zk", "ezk"):
+        figure.series[f"{kind} leader-only"] = [run_read_heavy_workload(
+            kind, READ_CLIENTS, measure_ms=500.0, pin_leader=True)]
+        figure.series[f"{kind} {scaled}"] = [run_read_heavy_workload(
+            kind, READ_CLIENTS, measure_ms=500.0, local_reads=True,
+            n_observers=READ_OBSERVERS)]
+        factor = figure.factor(f"{kind} {scaled}", f"{kind} leader-only",
+                               READ_CLIENTS)
+        figure.notes.append(f"{kind} read scaling: {factor:.2f}x")
+    return figure
+
+
+#: (modeled clients, ops per client-second, sessions, in-flight per
+#: session). Saturated offers far past the read ceiling of three
+#: replicas with local reads, through few wide sessions so each one
+#: rereads its hot keys; light load leaves the read p50 to the
+#: per-request path.
+ZIPF_HOT_LOADS = {"saturated": (550_000, 1.0, 4, 256),
+                  "light": (200_000, 0.5, 16, 64)}
+ZIPF_HOT_SKEW = 1.2
+
+
+def zipf_hot() -> FigureResult:
+    """Zipf-skewed 95/5 open-loop reads on zk, with and without leases.
+
+    The cached cells turn on lease-protected client caching; writes pick
+    keys uniformly so leases on hot keys live long enough to matter.
+    Both pairs run on three replicas with local reads and no observers.
+    """
+    figure = FigureResult(
+        "Zipf-hot",
+        f"zk open loop, 95/5 reads over 512 keys, Zipf {ZIPF_HOT_SKEW:g}: plain "
+        "local reads vs lease-protected client caching")
+    for load, (clients, rate, sessions, inflight) in ZIPF_HOT_LOADS.items():
+        for cached in (False, True):
+            workload = Workload(mix={"read": 0.95, "write": 0.05},
+                                skew=ZIPF_HOT_SKEW, clients=clients,
+                                ops_per_client_s=rate, keys=512,
+                                cached_reads=cached, write_skew=0.0)
+            name = f"zk {load} {'cached' if cached else 'baseline'}"
+            figure.series[name] = [run_openloop_workload(
+                "zk", workload, measure_ms=400.0, warmup_ms=150.0,
+                n_observers=0, sessions=sessions,
+                inflight_per_session=inflight)]
+
+    def ratio(key: str, numerator: str, denominator: str) -> float:
+        return (figure.series[numerator][0].extra[key]
+                / figure.series[denominator][0].extra[key])
+
+    throughput = ratio("read_ops_per_s", "zk saturated cached",
+                       "zk saturated baseline")
+    p50 = ratio("read_p50_ms", "zk light baseline", "zk light cached")
+    figure.notes.append(
+        f"saturated read throughput with caching: {throughput:.2f}x")
+    figure.notes.append(f"light-load read p50 speedup with caching: {p50:.0f}x")
     return figure

@@ -82,11 +82,6 @@ class Workload:
     #: client memory. Off = the historical plain read path; zk family
     #: only.
     cached_reads: bool = False
-    #: chain-replicated hot-key tier: promoted keys route to a
-    #: 3-member chain (writes at head, reads at tail) with the
-    #: coordination tree as control plane. Off by default; zk family
-    #: only.
-    hot_chain: bool = False
     #: Zipf exponent for the *write* key choice; ``None`` reuses
     #: ``skew``. Read-hot configuration data is rarely also write-hot —
     #: ``zipf_hot`` sets 0.0 (uniform writes) so leases on hot keys
@@ -149,16 +144,16 @@ def run_openloop_workload(
 
     Returns a :class:`WorkloadResult` whose ``clients`` field is the
     *modeled* population; extras carry offered vs achieved rate, the
-    arrival/backlog accounting, and ``sim_events`` for the wall-clock
-    bench.
+    arrival/backlog accounting, and ``sim_events``, the kernel events
+    the run processed.
     """
     workload.validate()
     if kind not in ("zk", "ezk") and \
             (workload.churn_per_s or workload.watch_fanout
-             or workload.cached_reads or workload.hot_chain):
+             or workload.cached_reads):
         raise ValueError(
-            "churn_per_s / watch_fanout / cached_reads / hot_chain require "
-            "the zk family (sessions, watches and leases are ZooKeeper "
+            "churn_per_s / watch_fanout / cached_reads require the zk "
+            "family (sessions, watches and leases are ZooKeeper "
             "machinery)")
     kwargs = {}
     if kind in ("zk", "ezk"):
@@ -254,7 +249,7 @@ def run_openloop_workload(
             if idle:
                 idle.popleft().succeed()
 
-    def executor(coord, router=None):
+    def executor(coord):
         while True:
             while not pending:
                 if not window.open_:
@@ -264,15 +259,9 @@ def run_openloop_workload(
                 yield slot
             arrived, is_read, path = pending.popleft()
             if is_read:
-                if router is not None:
-                    yield from router.read(path)
-                else:
-                    yield from coord.read(path)
+                yield from coord.read(path)
             else:
-                if router is not None:
-                    yield from router.update(path, payload)
-                else:
-                    yield from coord.update(path, payload)
+                yield from coord.update(path, payload)
             stats["executed"] += 1
             # Latency runs from *arrival*: open-loop queueing delay is
             # part of what the population experiences.
@@ -347,39 +336,14 @@ def run_openloop_workload(
             if note is not None:
                 side_stats["watch_notifications"] += 1
 
-    # Hot-chain tier: 3 chain members, one controller (own session),
-    # and one router per executor session, all flag-gated.
-    routers: list = []
-    controller = None
-    if workload.hot_chain:
-        from ..zk.hotchain import (ChainNode, HotChainConfig,
-                                   HotChainController, HotChainRouter)
-        chain_config = HotChainConfig()
-        chain_nodes = [ChainNode(env, ensemble.net, f"olchain{i}")
-                       for i in range(3)]
-        ctl_client = ensemble.client(node_id="olchainctl",
-                                     session_timeout_ms=8000.0)
-
-        def boot_controller():
-            yield from ctl_client.connect()
-            ctl = HotChainController(env, ensemble.net, ctl_client,
-                                     chain_nodes, chain_config)
-            yield from ctl.start()
-            return ctl
-
-        controller = run_all(ensemble, boot_controller())[0]
-        routers = [HotChainRouter(client, controller.node_id, chain_config)
-                   for client in raw]
-
     env.process(generator())
     if workload.churn_per_s:
         env.process(churner())
     for i in range(workload.watch_fanout):
         env.process(watcher(i))
-    for index, coord in enumerate(coords):
-        router = routers[index] if routers else None
+    for coord in coords:
         for _slot in range(inflight_per_session):
-            env.process(executor(coord, router))
+            env.process(executor(coord))
     window.run()
 
     result = window.result(kind, workload.clients)
@@ -431,16 +395,5 @@ def run_openloop_workload(
             if hits + misses else 0.0,
             "lease_revokes": float(
                 sum(c._cache.stats["revokes"] for c in raw)),
-        })
-    if workload.hot_chain and controller is not None:
-        result.extra.update({
-            "chain_promotions": float(controller.stats["promotions"]),
-            "chain_demotions": float(controller.stats["demotions"]),
-            "chain_reads": float(
-                sum(r.stats["chain_reads"] for r in routers)),
-            "chain_writes": float(
-                sum(r.stats["chain_writes"] for r in routers)),
-            "chain_fallbacks": float(
-                sum(r.stats["fallbacks"] for r in routers)),
         })
     return result

@@ -181,10 +181,10 @@ def run_queue_workload(kind: str, n_clients: int, warmup_ms: float = 100.0,
 
     Throughput counts *elements through the queue* (add+remove pairs);
     KB/op is client-sent data per element, the paper's cost metric.
-    ``config`` optionally overrides the ensemble's service config (the
-    wall-clock microbenchmark uses it to toggle Zab batching); the
-    result's ``extra['sim_events']`` reports how many kernel events the
-    run processed so events/s per wall-clock second can be derived.
+    ``config`` optionally overrides the ensemble's service config (e.g.
+    to select the consensus kernel); the result's
+    ``extra['sim_events']`` reports how many kernel events the run
+    processed so events/s per wall-clock second can be derived.
     """
     kwargs = {"config": config} if config is not None else {}
     ensemble = make_ensemble(kind, seed=seed, **kwargs)
@@ -394,7 +394,7 @@ def run_read_heavy_workload(
       ``local_reads`` is then applied on top of it.
 
     Extras carry split read/write latencies, in-window op counts, and
-    ``sim_events`` for the wall-clock bench.
+    ``sim_events``, the kernel events the run processed.
     """
     kwargs = {}
     if config is not None:

@@ -34,8 +34,7 @@ class _ZkAdapter:
     #: per consensus kernel. For Raft, AppendEntries doubles as
     #: heartbeat/backfill and InstallSnapshot as the full-sync analog.
     _MSG_TYPES = {
-        "zab": ("Proposal", "BatchProposal", "Commit",
-                "Heartbeat", "NewLeader"),
+        "zab": ("Proposal", "Commit", "Heartbeat", "NewLeader"),
         "raft": ("AppendEntries", "InstallSnapshot"),
     }
 

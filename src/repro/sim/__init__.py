@@ -7,8 +7,7 @@ generator-process kernel (:mod:`~repro.sim.events`,
 (:mod:`~repro.sim.stats`).
 """
 
-from .environment import (Environment, Infeasible, default_kernel,
-                          kernel_backend)
+from .environment import Environment, Infeasible, kernel_backend
 from .events import (AllOf, AnyOf, Callback, Event, Interrupted, Process,
                      Timeout)
 from .network import (MESSAGE_HEADER_BYTES, LatencyModel, Network,
@@ -19,7 +18,6 @@ from .stats import ExperimentMetrics, IntervalThroughput, LatencyRecorder, summa
 __all__ = [
     "Environment",
     "Infeasible",
-    "default_kernel",
     "kernel_backend",
     "Event",
     "Timeout",

@@ -1,17 +1,16 @@
 """Calendar-queue scheduler: the fast event-queue kernel.
 
-The heap kernel orders every pending occurrence through one ``heapq``,
-paying O(log n) per push/pop with n inflated by long-lived timers (RPC
-deadlines, session heartbeats) that almost never fire.  This module
-replaces the single heap with a *calendar queue* (a bucketed timing
-wheel): occurrences are filed into fixed-width time buckets keyed by
-``int(when / width)``, only the *current* bucket is kept sorted, and
-far-future timers sleep in their buckets at O(1) push cost until the
-clock reaches them.
+A single ``heapq`` orders every pending occurrence at O(log n) per
+push/pop, with n inflated by long-lived timers (RPC deadlines, session
+heartbeats) that almost never fire.  This module replaces the single
+heap with a *calendar queue* (a bucketed timing wheel): occurrences
+are filed into fixed-width time buckets keyed by ``int(when / width)``,
+only the *current* bucket is kept sorted, and far-future timers sleep
+in their buckets at O(1) push cost until the clock reaches them.
 
-Ordering is **identical** to the heap kernel — this is load-bearing:
-chaos replay lines and figure benchmarks must stay byte-identical under
-either kernel.  The argument:
+Ordering is **identical** to that heap — this is load-bearing: chaos
+replay lines and figure benchmarks must come out as the heap oracle
+(tests/heap_queue.py) would order them.  The argument:
 
 * The heap orders by ``(when, seq)`` where ``seq`` is a global push
   counter, i.e. earliest time first, FIFO among equal times.

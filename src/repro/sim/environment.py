@@ -5,40 +5,21 @@ the network) run inside one :class:`Environment`. Virtual time is a float
 in **milliseconds** throughout the code base, which matches the units the
 paper's figures use.
 
-Two interchangeable queue kernels back the environment (selected per
-instance, or globally via ``REPRO_SIM_KERNEL``):
-
-* ``calendar`` (default) — the bucketed timing-wheel in
-  :mod:`repro.sim._calqueue`: O(1) pushes, far-future timers parked in
-  cold buckets, same-timestamp bursts drained from one sorted snapshot.
-* ``heap`` — the original single ``heapq`` ordered by ``(when, seq)``.
-
-Both kernels deliver **identically ordered** event streams for the same
-program (pinned by tests/test_sim_determinism.py), so replay lines and
-figure results do not depend on the kernel choice.
+The pending-event queue is the calendar queue of
+:mod:`repro.sim._calqueue`: O(1) pushes, far-future timers parked in
+cold buckets, same-timestamp bursts drained from one sorted snapshot.
+It drains in exactly ``(when, push order)`` order; the test suite pins
+that against a plain ``heapq`` oracle (tests/test_sim_determinism.py).
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from typing import Any, Generator, Iterable, Optional
 
 from ._calqueue import CalendarQueue
 from .events import AllOf, AnyOf, Callback, Event, Process, Timeout
 
-__all__ = ["Environment", "Infeasible", "default_kernel", "kernel_backend"]
-
-KERNELS = ("calendar", "heap")
-
-
-def default_kernel() -> str:
-    """Kernel used when :class:`Environment` is built without an override."""
-    kernel = os.environ.get("REPRO_SIM_KERNEL", "calendar")
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"REPRO_SIM_KERNEL={kernel!r}: expected one of {KERNELS}")
-    return kernel
+__all__ = ["Environment", "Infeasible", "kernel_backend"]
 
 
 def kernel_backend() -> str:
@@ -62,37 +43,20 @@ class Environment:
         env.run(until=10_000.0)      # run 10 simulated seconds
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 kernel: Optional[str] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        #: total events processed since construction; the wall-clock
-        #: microbenchmark divides this by elapsed real time to get the
-        #: kernel's events/s figure (BENCH_core.json).
+        #: total events processed since construction; benchmarks divide
+        #: it by elapsed wall time for the kernel's events/s rate.
         self.events_processed = 0
         #: the run's observability plane (:class:`repro.obs.Observability`),
         #: installed by the first server whose config carries an
         #: ``ObsConfig``; None keeps every tracing milestone to a
         #: single attribute-read-plus-comparison.
         self.obs = None
-        if kernel is None:
-            kernel = default_kernel()
-        elif kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}: expected {KERNELS}")
-        self.kernel = kernel
-        if kernel == "heap":
-            self._cal: Optional[CalendarQueue] = None
-            self._queue: list[tuple[float, int, Event]] = []
-            self._seq = 0
-            #: every producer (schedule/defer/succeed/network delivery)
-            #: files occurrences through this one bound callable.
-            self._push = self._heap_push
-        else:
-            self._cal = CalendarQueue(self)
-            self._push = self._cal.push
-
-    def _heap_push(self, when: float, item: Any) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (when, self._seq, item))
+        self._cal = CalendarQueue(self)
+        #: every producer (schedule/defer/succeed/network delivery)
+        #: files occurrences through this one bound callable.
+        self._push = self._cal.push
 
     # -- clock -------------------------------------------------------------
 
@@ -146,25 +110,15 @@ class Environment:
 
     def step(self) -> None:
         """Process the single next event, advancing the clock."""
-        cal = self._cal
-        if cal is None:
-            if not self._queue:
-                raise Infeasible("no scheduled events")
-            when, _seq, event = heapq.heappop(self._queue)
-            self._now = when
-        else:
-            event = cal.pop_one()
-            if event is None:
-                raise Infeasible("no scheduled events")
+        event = self._cal.pop_one()
+        if event is None:
+            raise Infeasible("no scheduled events")
         self.events_processed += 1
         event._process()
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None if the queue is empty."""
-        cal = self._cal
-        if cal is None:
-            return self._queue[0][0] if self._queue else None
-        return cal.peek()
+        return self._cal.peek()
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
@@ -177,60 +131,6 @@ class Environment:
           its value (re-raising its exception if it failed).
         """
         cal = self._cal
-        if cal is not None:
-            return self._run_calendar(cal, until)
-
-        # The loops below inline step(): at hundreds of thousands of
-        # events per run the per-event method call is measurable
-        # (BENCH_core.json). events_processed is settled on exit so the
-        # counter stays honest even if an event handler raises.
-        queue = self._queue
-        pop = heapq.heappop
-        count = 0
-
-        if until is None:
-            try:
-                while queue:
-                    when, _seq, event = pop(queue)
-                    self._now = when
-                    count += 1
-                    event._process()
-            finally:
-                self.events_processed += count
-            return None
-
-        if isinstance(until, Event):
-            target = until
-            try:
-                while not target.processed:
-                    if not queue:
-                        raise Infeasible(
-                            "event queue drained before the awaited event triggered")
-                    when, _seq, event = pop(queue)
-                    self._now = when
-                    count += 1
-                    event._process()
-            finally:
-                self.events_processed += count
-            if not target.ok:
-                raise target._value
-            return target._value
-
-        deadline = float(until)
-        if deadline < self._now:
-            raise ValueError("cannot run backwards in time")
-        try:
-            while queue and queue[0][0] <= deadline:
-                when, _seq, event = pop(queue)
-                self._now = when
-                count += 1
-                event._process()
-        finally:
-            self.events_processed += count
-        self._now = deadline
-        return None
-
-    def _run_calendar(self, cal: CalendarQueue, until: Optional[Any]) -> Any:
         if until is None:
             cal.drain(float("inf"), None)
             return None

@@ -221,9 +221,9 @@ class LatencyModel:
 class _Delivery:
     """One in-flight message: a slotted, closure-free queue entry.
 
-    The environment's heap only requires a ``_process()`` method, so the
-    per-message cost is one small object instead of an Event plus a
-    six-variable closure (see the BENCH_core.json microbenchmark).
+    The environment's event queue only requires a ``_process()`` method,
+    so the per-message cost is one small object instead of an Event plus
+    a six-variable closure.
     """
 
     __slots__ = ("net", "src", "dst", "msg", "size", "handler")

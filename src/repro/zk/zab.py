@@ -5,12 +5,10 @@ with the properties the paper's evaluation depends on:
 
 * the **leader** turns updates into transactions, assigns them gapless
   zxids ``(epoch << 32) | counter``, and streams PROPOSALs to followers
-  — singly by default, or batched into BatchProposals when the config
-  enables leader-side batching (``batch_window_ms``/``batch_max_txns``);
-* followers append in FIFO order and ACK (cumulatively for a batch);
-  the leader commits an entry once a **majority** (itself included) has
-  acked, delivers it locally, and broadcasts COMMIT — batches also
-  piggyback the commit watermark, pipelining delivery at followers;
+  — one per transaction;
+* followers append in FIFO order and ACK; the leader commits an entry
+  once a **majority** (itself included) has acked, delivers it locally,
+  and broadcasts COMMIT;
 * committed entries are delivered **in zxid order, exactly once** at
   every live replica;
 * on leader failure, followers elect the reachable replica with the
@@ -62,14 +60,6 @@ class ZabConfig:
     heartbeat_ms: float = 50.0
     election_timeout_ms: float = 200.0
     election_window_ms: float = 60.0
-    #: Leader-side proposal batching. With ``batch_max_txns = 1`` (the
-    #: default) every update is proposed on its own, exactly as before
-    #: batching existed — same messages, same byte counts. Raising it
-    #: lets the leader accumulate up to that many transactions (or wait
-    #: at most ``batch_window_ms``) and ship them as one BatchProposal,
-    #: which followers ack cumulatively.
-    batch_window_ms: float = 0.0
-    batch_max_txns: int = 1
 
 
 # -- protocol messages --------------------------------------------------------
@@ -78,20 +68,6 @@ class ZabConfig:
 class Proposal:
     epoch: int
     record: TxnRecord
-
-
-@dataclass
-class BatchProposal:
-    """Several consecutive proposals in one message (leader batching).
-
-    ``committed_zxid`` piggybacks the leader's commit watermark so
-    followers can deliver earlier entries without waiting for the next
-    standalone Commit — the pipelining half of the batching change.
-    """
-
-    epoch: int
-    records: List[TxnRecord]
-    committed_zxid: int
 
 
 @dataclass
@@ -194,9 +170,6 @@ class ZabPeer(AtomicBroadcast):
         self._ack_values: List[int] = []
         self._establish_acks: set[str] = set()
         self._established = False
-        #: Proposals appended to the log but not yet sent to followers.
-        self._pending_batch: List[TxnRecord] = []
-        self._flush_scheduled = False
 
         # election bookkeeping
         self._votes: Dict[str, tuple[int, str]] = {}
@@ -277,8 +250,6 @@ class ZabPeer(AtomicBroadcast):
     def crash(self) -> None:
         """Stop participating. Log and committed pointer persist (disk)."""
         self._alive = False
-        self._pending_batch = []
-        self._flush_scheduled = False
 
     def recover(self) -> None:
         """Come back up; rejoin by looking for the current leader."""
@@ -286,8 +257,6 @@ class ZabPeer(AtomicBroadcast):
         self.role = Role.LOOKING
         self.leader_id = None
         self._established = False
-        self._pending_batch = []
-        self._flush_scheduled = False
         self._last_leader_contact = self.env.now
         # Our log may end in proposals that died with our old epoch
         # (e.g. we led, proposed, crashed before the quorum acked):
@@ -315,10 +284,8 @@ class ZabPeer(AtomicBroadcast):
     def propose(self, txn: Txn, meta: Optional[RequestMeta] = None) -> int:
         """Leader-only: append an update to the replicated log.
 
-        The record is logged (and self-acked) immediately; whether it is
-        shipped right away or rides a batch depends on the config. With
-        the default ``batch_max_txns = 1`` this sends one Proposal per
-        call, exactly like the pre-batching protocol.
+        The record is logged and self-acked, then proposed to every
+        learner in one Proposal.
         """
         if not self.is_leader:
             raise NotLeaderError(self.node_id)
@@ -328,31 +295,9 @@ class ZabPeer(AtomicBroadcast):
         self.log.append(record)
         self.stats["proposals"] += 1
         self._ack_update(self.node_id, zxid)
-        self._pending_batch.append(record)
-        if (len(self._pending_batch) >= self.config.batch_max_txns
-                or self.config.batch_window_ms <= 0.0):
-            self._flush_batch()
-        elif not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.env.defer(self.config.batch_window_ms, self._flush_timer)
+        self._fan_out(Proposal(self.epoch, record))
         self._advance_commit()
         return zxid
-
-    def _flush_timer(self) -> None:
-        self._flush_scheduled = False
-        if self._alive and self.role is Role.LEADER:
-            self._flush_batch()
-
-    def _flush_batch(self) -> None:
-        batch = self._pending_batch
-        if not batch:
-            return
-        self._pending_batch = []
-        if len(batch) == 1:
-            msg: object = Proposal(self.epoch, batch[0])
-        else:
-            msg = BatchProposal(self.epoch, batch, self.committed_zxid)
-        self._fan_out(msg)
 
     # -- message dispatch ------------------------------------------------------
 
@@ -362,8 +307,6 @@ class ZabPeer(AtomicBroadcast):
             return True
         if isinstance(msg, Proposal):
             self._on_proposal(src, msg)
-        elif isinstance(msg, BatchProposal):
-            self._on_batch_proposal(src, msg)
         elif isinstance(msg, Ack):
             self._on_ack(src, msg)
         elif isinstance(msg, Commit):
@@ -412,38 +355,6 @@ class ZabPeer(AtomicBroadcast):
         self.log.append(msg.record)
         if not self.is_observer:
             self._send(src, Ack(self.epoch, msg.record.zxid))
-
-    def _on_batch_proposal(self, src: str, msg: BatchProposal) -> None:
-        if msg.epoch < self.epoch or self.role is not Role.FOLLOWER:
-            return
-        if src != self.leader_id:
-            return
-        if self._sync_pending:
-            return  # see _on_proposal: no appends on an unreconciled log
-        appended = False
-        for record in msg.records:
-            zxid = record.zxid
-            last = self.last_zxid
-            if self.log and zxid <= last:
-                continue  # duplicate (e.g. resent after a resync)
-            if zxid_epoch(last) == zxid_epoch(zxid):
-                expected = last + 1
-            else:
-                expected = make_zxid(zxid_epoch(zxid), 1)
-            if zxid != expected:
-                # Gap: ack what we appended, then ask for a resync.
-                self._send(src, SyncRequest(self.last_zxid))
-                break
-            self.log.append(record)
-            appended = True
-        if appended and not self.is_observer:
-            # One cumulative ack for the whole appended run.
-            self._send(src, Ack(self.epoch, self.last_zxid))
-        # Piggybacked commit watermark (capped at what we actually hold).
-        watermark = min(msg.committed_zxid, self.last_zxid)
-        if watermark > self.committed_zxid:
-            self.committed_zxid = watermark
-            self._deliver_committed()
 
     def _on_ack(self, src: str, msg: Ack) -> None:
         if self.role is not Role.LEADER or msg.epoch != self.epoch:
@@ -573,7 +484,6 @@ class ZabPeer(AtomicBroadcast):
         self.role = Role.LOOKING
         self._established = False
         self.leader_id = None
-        self._pending_batch = []
         self._term += 1
         self.stats["elections"] += 1
         self._votes = {self.node_id: (self.last_zxid, self.node_id)}
@@ -639,7 +549,6 @@ class ZabPeer(AtomicBroadcast):
         self._ack_values = [self.last_zxid]
         self._establish_acks = {self.node_id}
         self._established = False
-        self._pending_batch = []
         # Zab: the elected leader's log *is* the authoritative history
         # (it holds the highest zxid in its quorum) — nothing to
         # reconcile against.
@@ -658,7 +567,6 @@ class ZabPeer(AtomicBroadcast):
         self.leader_id = src
         self.role = Role.FOLLOWER
         self._last_leader_contact = self.env.now
-        self._pending_batch = []
         self._sync_pending = False  # this message IS the reconciliation
         # Where had we delivered up to? (Read before any log surgery.)
         delivered_zxid = (self.log[self._delivered_upto - 1].zxid

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import random_schedule, run_chaos
+from tests.heap_queue import use_heap_queue
 
 CELLS = [("ezk", "queue", 17), ("ds", "counter", 5)]
 
@@ -31,15 +32,13 @@ def test_replay_byte_identical_across_kernels(system, recipe, seed,
                                               monkeypatch):
     """Replay lines must not depend on the event-queue kernel.
 
-    A seed found by the explorer under the fast calendar-queue kernel
-    must reproduce under the heap kernel (and vice versa) — otherwise a
-    kernel switch would silently invalidate every recorded repro line.
+    A seed found by the explorer under the calendar-queue kernel must
+    reproduce under the heap oracle — otherwise a queue change would
+    silently invalidate every recorded repro line.
     """
-    runs = {}
-    for kernel in ("heap", "calendar"):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
-        runs[kernel] = run_chaos(system, recipe, seed)
-    heap, cal = runs["heap"], runs["calendar"]
+    cal = run_chaos(system, recipe, seed)
+    use_heap_queue(monkeypatch)
+    heap = run_chaos(system, recipe, seed)
     assert heap.schedule.describe() == cal.schedule.describe()
     assert heap.nemesis_log == cal.nemesis_log
     assert heap.history.canonical() == cal.history.canonical()

@@ -5,7 +5,7 @@ The load-bearing guarantees:
 
 * **off path is inert** — a run without ``ObsConfig`` must produce
   byte-identical simulated metrics and event counts to the pre-obs
-  code (the figure JSONs and BENCH_core.json depend on it);
+  code (the figure JSONs and perfbench simulated metrics depend on it);
 * **on path is transparent** — tracing is side-table writes only, so
   an instrumented run's *simulated* behaviour is identical to an
   uninstrumented one;

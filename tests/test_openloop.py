@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench.openloop import (ARRIVALS, Workload, _zipf_cdf,
                                   run_openloop_workload)
+from tests.heap_queue import use_heap_queue
 
 SMALL = dict(clients=2_000, ops_per_client_s=1.0, keys=32)
 
@@ -128,9 +129,10 @@ def test_openloop_session_knobs_require_zk_family(kind):
 
 
 def test_openloop_identical_across_kernels(monkeypatch):
-    results = {}
-    for kernel in ("heap", "calendar"):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
-        results[kernel] = run_openloop_workload(
+    def run():
+        return run_openloop_workload(
             "zk", Workload(**SMALL), warmup_ms=50.0, measure_ms=200.0)
-    assert results["heap"] == results["calendar"]
+
+    calendar = run()
+    use_heap_queue(monkeypatch)
+    assert run() == calendar

@@ -4,11 +4,13 @@ Covers the zxid-consistent read layer end to end: follower-local reads
 under partition, read-your-writes across a fail-over to a lagging
 replica, watch-notification-then-read ordering, ``sync()``
 linearizability, observer quorum behaviour, the ConnectionLoss retry
-backoff, and the EDS unordered-read opt-in.
+backoff, the EDS unordered-read opt-in, and the throughput gain of local
+reads plus observers over leader-only reads.
 """
 
 import pytest
 
+from repro.bench.workload import run_read_heavy_workload
 from repro.depspace import DsEnsemble
 from repro.depspace.server import DsConfig
 from repro.ezk import EzkEnsemble
@@ -336,6 +338,18 @@ class TestRetryBackoff:
 # ---------------------------------------------------------------------------
 # EZK with the read-scaling knobs
 # ---------------------------------------------------------------------------
+
+class TestReadThroughput:
+    def test_local_reads_and_observers_beat_leader_only(self):
+        """The figure-sized claim (benchmarks/test_read_scaling.py) at
+        tier-1 size: 90/10 load scales past the leader's read CPU."""
+        base = run_read_heavy_workload("zk", 16, measure_ms=200.0,
+                                       pin_leader=True)
+        scaled = run_read_heavy_workload("zk", 16, measure_ms=200.0,
+                                         local_reads=True, n_observers=2)
+        assert base.completed_ops > 0 and scaled.completed_ops > 0
+        assert scaled.throughput_ops > base.throughput_ops
+
 
 class TestEzkReadScaling:
     def test_extensible_ensemble_with_observers(self):

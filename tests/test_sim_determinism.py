@@ -1,12 +1,12 @@
-"""Cross-kernel determinism: calendar-queue and heap kernels must deliver
-identically ordered event streams.
+"""Cross-kernel determinism: the calendar queue must deliver the event
+stream of a plain heap ordered by ``(when, push order)``.
 
-The calendar queue (repro.sim._calqueue) is a performance replacement for
-the heapq kernel, not a semantic one: replay lines from the chaos
-explorer and the committed figure JSONs must not depend on which kernel
-ran them. These tests pin that equivalence at three levels — a synthetic
-event soup engineered to hit bucket boundaries, a full protocol workload,
-and the wallclock driver.
+The calendar queue (repro.sim._calqueue) is a fast event queue, not a
+different semantics: replay lines from the chaos explorer and the
+committed figure JSONs must come out as the heap oracle in
+tests/heap_queue.py would order them. These tests pin that equivalence
+at two levels — a synthetic event soup engineered to hit bucket
+boundaries, and a full protocol workload.
 """
 
 from __future__ import annotations
@@ -17,11 +17,19 @@ import pytest
 
 from repro.sim import Environment, Interrupted
 from repro.sim._calqueue import DEFAULT_BUCKET_MS
+from tests.heap_queue import use_heap_queue
 
-KERNELS = ("heap", "calendar")
+
+def on_both_queues(monkeypatch, run):
+    """``run()`` on the calendar queue, then on the heap oracle."""
+    calendar = run()
+    with monkeypatch.context() as patch:
+        use_heap_queue(patch)
+        heap = run()
+    return calendar, heap
 
 
-def _soup_trace(kernel: str, seed: int, n_procs: int = 40,
+def _soup_trace(seed: int, n_procs: int = 40,
                 horizon: float = 400.0) -> list:
     """Run a randomized process soup and record every wakeup.
 
@@ -31,7 +39,7 @@ def _soup_trace(kernel: str, seed: int, n_procs: int = 40,
     ordering), and far-future timers (cold buckets), plus events
     succeeded from other processes and interrupts.
     """
-    env = Environment(kernel=kernel)
+    env = Environment()
     rng = random.Random(seed)
     trace = []
     gates = [env.event() for _ in range(n_procs)]
@@ -86,14 +94,15 @@ def _soup_trace(kernel: str, seed: int, n_procs: int = 40,
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
-def test_event_soup_streams_identical(seed):
-    assert _soup_trace("heap", seed) == _soup_trace("calendar", seed)
+def test_event_soup_streams_identical(seed, monkeypatch):
+    calendar, heap = on_both_queues(monkeypatch, lambda: _soup_trace(seed))
+    assert calendar == heap
 
 
-def test_soup_with_step_and_peek_identical():
+def test_soup_with_step_and_peek_identical(monkeypatch):
     """Single-stepping interleaved with run() must also agree."""
-    def stepped(kernel):
-        env = Environment(kernel=kernel)
+    def stepped():
+        env = Environment()
         log = []
 
         def ticker(env, period, tag):
@@ -111,34 +120,24 @@ def test_soup_with_step_and_peek_identical():
         log.append(("done", env.now, env.events_processed))
         return log
 
-    assert stepped("heap") == stepped("calendar")
+    calendar, heap = on_both_queues(monkeypatch, stepped)
+    assert calendar == heap
+
+
+def test_heap_oracle_is_patched_in(monkeypatch):
+    """The cross-kernel comparisons above really ran two queues."""
+    from tests.heap_queue import HeapQueue
+    with monkeypatch.context() as patch:
+        use_heap_queue(patch)
+        assert isinstance(Environment()._cal, HeapQueue)
+    assert not isinstance(Environment()._cal, HeapQueue)
 
 
 @pytest.mark.parametrize("system", ["zk", "ezk"])
 def test_protocol_workload_identical_across_kernels(system, monkeypatch):
-    """A full ensemble workload produces the same result on both kernels."""
+    """A full ensemble workload produces the same result on both queues."""
     from repro.bench.workload import run_queue_workload
 
-    results = {}
-    for kernel in KERNELS:
-        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
-        results[kernel] = run_queue_workload(
-            system, n_clients=8, warmup_ms=50.0, measure_ms=300.0)
-    heap, cal = results["heap"], results["calendar"]
-    assert heap == cal
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_environment_kernel_override_beats_env_var(kernel, monkeypatch):
-    other = "calendar" if kernel == "heap" else "heap"
-    monkeypatch.setenv("REPRO_SIM_KERNEL", other)
-    env = Environment(kernel=kernel)
-    assert env.kernel == kernel
-
-
-def test_unknown_kernel_rejected(monkeypatch):
-    with pytest.raises(ValueError):
-        Environment(kernel="btree")
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "btree")
-    with pytest.raises(ValueError):
-        Environment()
+    calendar, heap = on_both_queues(monkeypatch, lambda: run_queue_workload(
+        system, n_clients=8, warmup_ms=50.0, measure_ms=300.0))
+    assert calendar == heap
